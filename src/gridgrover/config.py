@@ -139,11 +139,6 @@ class ExperimentConfig:
 
             yield label, build
 
-    def point_labels_and_configs(self) -> Iterator[tuple[str, RunConfig]]:
-        """Eager variant of :meth:`sweep_points` for sweeps known to be valid."""
-        for label, build in self.sweep_points():
-            yield label, build()
-
     def with_overrides(
         self,
         out_dir: "str | None" = None,

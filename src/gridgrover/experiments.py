@@ -140,7 +140,7 @@ def run_experiment(config: ExperimentConfig, out_dir: "str | Path | None" = None
             run_config = build()
             trace = run(run_config)
         except Exception as exc:  # precondition failures must not kill the sweep
-            report.points.append(PointResult(label=label, error=str(exc)))
+            report.points.append(PointResult(label=label, error=f"{type(exc).__name__}: {exc}"))
             continue
         report.points.append(PointResult(label=label, trace=trace))
         if base is not None:

@@ -13,7 +13,8 @@ throughput relative to a complex state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +61,6 @@ class GridGeometry:
     @property
     def cell_count(self) -> int:
         return self.side * self.side
-
-    def all_coords(self) -> Iterable[Coord]:
-        """Yield every cell in row-major order."""
-        for i in range(self.side):
-            for j in range(self.side):
-                yield Coord(i, j)
 
 
 def normalize_coord(geometry: GridGeometry, cell: tuple[int, int]) -> Coord:
@@ -152,6 +147,11 @@ class GridState:
         """(L, L) view sharing the underlying buffer."""
         side = self.geometry.side
         return self.amplitudes.reshape(side, side)
+
+    @cached_property
+    def work_buffer(self) -> np.ndarray:
+        """(L, L) scratch array for kernels, allocated on first use; contents undefined."""
+        return np.empty_like(self.as_grid())
 
     def copy(self) -> "GridState":
         return GridState(self.geometry, self.amplitudes)

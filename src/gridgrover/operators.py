@@ -56,6 +56,21 @@ class DiffusionSpec:
         report = validate_partition(self.partition)
         if not report.ok:
             raise InvalidPartitionError(report.summary())
+        if self.partition.tile_side is not None:
+            _require_tiles(self.partition)
+
+
+def _require_tiles(partition: Partition) -> None:
+    """The tile fast path is exact only if every group is one tile of the lattice."""
+    d, (si, sj) = partition.tile_side, partition.tile_shift
+    side = partition.geometry.side
+    if d >= 1 and side % d == 0 and np.all(np.diff(partition.offsets) == d * d):
+        lines = np.arange(side)
+        tile_of = ((lines - si) % side // d)[:, None] * side + (lines - sj) % side // d
+        tiles = tile_of.reshape(-1)[partition.cells].reshape(-1, d * d)
+        if np.all(tiles == tiles[:, :1]):
+            return
+    raise InvalidPartitionError(f"groups are not the {d} x {d} tiles shifted by {(si, sj)}")
 
 
 @dataclass(frozen=True)
@@ -83,24 +98,36 @@ def apply_partition_diffusion(state: GridState, spec: DiffusionSpec) -> GridStat
             f"state has side {state.geometry.side}"
         )
     if partition.tile_side is not None:
-        _tile_sweep(state.as_grid(), partition.tile_side, partition.tile_shift)
+        _tile_sweep(state, partition.tile_side, partition.tile_shift)
     else:
         _group_sweep(state.amplitudes, partition)
     state.check_norm()
     return state
 
 
-def _tile_sweep(grid: np.ndarray, d: int, shift: tuple[int, int]) -> None:
-    # Rolling by -shift brings the tile lattice into alignment with axis 0.
-    si, sj = shift
-    rolled = grid if (si, sj) == (0, 0) else np.roll(grid, (-si, -sj), axis=(0, 1))
+def _roll_into(out: np.ndarray, grid: np.ndarray, si: int, sj: int) -> np.ndarray:
+    """``out[:] = np.roll(grid, (si, sj), axis=(0, 1))`` by four block copies, for 0 <= si, sj < L."""
     side = grid.shape[0]
+    ri, rj = side - si, side - sj
+    out[si:, sj:] = grid[:ri, :rj]
+    out[si:, :sj] = grid[:ri, rj:]
+    out[:si, sj:] = grid[ri:, :rj]
+    out[:si, :sj] = grid[ri:, rj:]
+    return out
+
+
+def _tile_sweep(state: GridState, d: int, shift: tuple[int, int]) -> None:
+    grid = state.as_grid()
+    side = grid.shape[0]
+    si, sj = shift[0] % side, shift[1] % side
+    # Rolling by -shift brings the tile lattice into alignment with axis 0.
+    rolled = _roll_into(state.work_buffer, grid, -si % side, -sj % side) if si or sj else grid
     tiles = rolled.reshape(side // d, d, side // d, d)
     means = tiles.mean(axis=(1, 3), keepdims=True)
     tiles *= -1.0
     tiles += 2.0 * means
     if rolled is not grid:
-        grid[:] = np.roll(rolled, (si, sj), axis=(0, 1))
+        _roll_into(grid, rolled, si, sj)
 
 
 def _group_sweep(amplitudes: np.ndarray, partition: Partition) -> None:
@@ -140,8 +167,8 @@ def materialize_dense(
         if op.partition.geometry != geometry:
             raise ValueError("partition geometry does not match the requested geometry")
         matrix = -np.eye(n)
-        for flat in op.partition._flat_groups:
-            matrix[np.ix_(flat, flat)] += 2.0 / len(flat)
+        for flat in np.split(op.partition.cells, op.partition.offsets[1:-1]):
+            matrix[np.ix_(flat, flat)] += 2.0 / flat.size
         return matrix
     if isinstance(op, GlobalDiffusionSpec):
         return np.full((n, n), 2.0 / n) - np.eye(n)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import cell_index
 from .tessellation import Partition
 
 __all__ = [
@@ -78,16 +77,15 @@ def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
 def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
     """Write one ``i,j,group`` row per cell, row-major, for eyeballing tilings."""
     geometry = partition.geometry
-    ids = np.full(geometry.cell_count, -1, dtype=np.int64)
-    for g, group in enumerate(partition.groups):
-        for cell in group:
-            ids[cell_index(geometry, cell)] = g
+    # Cells outside every group read -1.
+    ids = np.full(geometry.cell_count, -1, dtype=np.intp)
+    ids[partition.cells] = np.repeat(np.arange(partition.group_count), np.diff(partition.offsets))
+    rows, cols = np.divmod(np.arange(geometry.cell_count), geometry.side)
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["i", "j", "group"])
-        for flat in range(geometry.cell_count):
-            writer.writerow([flat // geometry.side, flat % geometry.side, int(ids[flat])])
+        writer.writerows(zip(rows.tolist(), cols.tolist(), ids.tolist()))
     return path
 
 

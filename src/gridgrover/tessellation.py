@@ -15,17 +15,18 @@ unitary.  Four generators are provided:
   inside 2d-periodic blocks.
 
 Hand-built groups are supported through ``custom_partition`` (used by test
-fixtures and ``translate_partition``).
+fixtures).  A partition is stored as flat cell offsets plus group bounds, built
+with numpy broadcasting; per-cell ``Coord`` tuples exist only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .grid import Coord, GridGeometry, cell_index, coord_of_index, normalize_coord
+from .grid import Coord, GridGeometry, cell_index, coord_of_index
 
 __all__ = [
     "KIND_CROSS",
@@ -56,9 +57,12 @@ class InvalidPartitionError(ValueError):
     """Raised when groups fail to cover every grid cell exactly once."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint cell groups covering the grid.
+
+    Group g is ``cells[offsets[g]:offsets[g + 1]]``: row-major flat offsets in
+    ``intp`` arrays.  Its ``Coord`` tuples in ``groups`` are built on first use.
 
     ``step_cost`` is the nominal walk-step charge for one application of the
     group diffusion (tile side for squares and corners, 1 for crosses, since
@@ -70,7 +74,8 @@ class Partition:
     """
 
     geometry: GridGeometry
-    groups: tuple[tuple[Coord, ...], ...]
+    cells: np.ndarray
+    offsets: np.ndarray
     kind: str = KIND_CUSTOM
     step_cost: int = 1
     tile_side: int | None = None
@@ -78,14 +83,15 @@ class Partition:
 
     @property
     def group_count(self) -> int:
-        return len(self.groups)
+        return self.offsets.size - 1
 
     @cached_property
-    def _flat_groups(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.array([cell_index(self.geometry, c) for c in group], dtype=np.intp)
-            for group in self.groups
-        )
+    def groups(self) -> tuple[tuple[Coord, ...], ...]:
+        """Per-group ``Coord`` tuples for tests and dense matrices; the kernels read the arrays."""
+        rows, cols = np.divmod(self.cells, self.geometry.side)
+        coords = list(map(Coord, rows.tolist(), cols.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(tuple(coords[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def group_ids(self) -> np.ndarray:
@@ -94,13 +100,12 @@ class Partition:
         if not report.ok:
             raise InvalidPartitionError(report.summary())
         ids = np.empty(self.geometry.cell_count, dtype=np.intp)
-        for g, flat in enumerate(self._flat_groups):
-            ids[flat] = g
+        ids[self.cells] = np.repeat(np.arange(self.group_count), np.diff(self.offsets))
         return ids
 
     @cached_property
     def group_sizes(self) -> np.ndarray:
-        return np.array([len(g) for g in self.groups], dtype=np.float64)
+        return np.diff(self.offsets).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -126,14 +131,17 @@ class PartitionReport:
 
 
 def validate_partition(partition: Partition) -> PartitionReport:
-    """Check that every cell appears exactly once across the groups."""
-    geometry = partition.geometry
-    counts = np.zeros(geometry.cell_count, dtype=np.int64)
-    for flat in partition._flat_groups:
-        np.add.at(counts, flat, 1)
+    """Check that every cell appears exactly once; raise if the arrays are not groups of cells."""
+    geometry, cells, offsets = partition.geometry, partition.cells, partition.offsets
+    n, sizes = geometry.cell_count, np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != cells.size or np.any(sizes < 0):
+        raise InvalidPartitionError("group offsets must rise from 0 to the number of cells")
+    if cells.size and (cells.min() < 0 or cells.max() >= n):
+        raise InvalidPartitionError(f"cell offsets must lie in [0, {n})")
+    counts = np.bincount(cells, minlength=n)
     duplicated = tuple(coord_of_index(geometry, int(i)) for i in np.flatnonzero(counts > 1))
     missing = tuple(coord_of_index(geometry, int(i)) for i in np.flatnonzero(counts == 0))
-    empty = tuple(g for g, group in enumerate(partition.groups) if not group)
+    empty = tuple(np.flatnonzero(sizes == 0).tolist())
     ok = not duplicated and not missing
     return PartitionReport(ok=ok, duplicated=duplicated, missing=missing, empty_groups=empty)
 
@@ -157,25 +165,25 @@ def shifted_square_partition(geometry: GridGeometry, d: int) -> Partition:
     return _block_partition(geometry, d, shift=d // 2, kind=KIND_SHIFTED_SQUARE)
 
 
+def _interleave(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
+    """Flat offsets rows[i0, i1, ...] * side + cols[j0, j1, ...], axes ordered i0, j0, i1, j1, ..."""
+    r = rows.reshape([k for dim in rows.shape for k in (dim, 1)])
+    c = cols.reshape([k for dim in cols.shape for k in (1, dim)])
+    return (r * side + c).reshape(-1)
+
+
+def _uniform_partition(geometry: GridGeometry, cells: np.ndarray, size: int, **fields) -> Partition:
+    """Partition whose groups are consecutive runs of ``size`` cells."""
+    return Partition(geometry, cells, np.arange(0, cells.size + 1, size, dtype=np.intp), **fields)
+
+
 def _block_partition(geometry: GridGeometry, d: int, shift: int, kind: str) -> Partition:
+    # Tile (bi, bj) holds rows d*bi + x + shift and cols d*bj + y + shift, x and y in [0, d).
     side = geometry.side
-    groups = []
-    for bi in range(side // d):
-        for bj in range(side // d):
-            groups.append(
-                tuple(
-                    Coord((d * bi + x + shift) % side, (d * bj + y + shift) % side)
-                    for x in range(d)
-                    for y in range(d)
-                )
-            )
-    return Partition(
-        geometry,
-        tuple(groups),
-        kind=kind,
-        step_cost=d,
-        tile_side=d,
-        tile_shift=(shift, shift),
+    lines = (d * np.arange(side // d)[:, None] + np.arange(d) + shift) % side
+    return _uniform_partition(
+        geometry, _interleave(lines, lines, side), d * d,
+        kind=kind, step_cost=d, tile_side=d, tile_shift=(shift, shift),
     )
 
 
@@ -184,25 +192,18 @@ def cross_partition(geometry: GridGeometry) -> Partition:
 
     Centers sit on the lattice (i + 2j) % 5 == 0, the spacing at which
     radius-1 Lee spheres tile the torus perfectly: successive centers are
-    (2, 1) apart.
+    (2, 1) apart.  Groups come in row-major order of their centers, and each
+    lists its center first, then the neighbors above, below, left and right.
     """
     side = geometry.side
     if side % 5 != 0:
         raise ValueError(f"cross tiling requires 5 | {side}, but 5 does not divide {side}")
-    groups = []
-    for i in range(side):
-        for j in range(side):
-            if (i + 2 * j) % 5 == 0:
-                groups.append(
-                    (
-                        Coord(i, j),
-                        Coord((i - 1) % side, j),
-                        Coord((i + 1) % side, j),
-                        Coord(i, (j - 1) % side),
-                        Coord(i, (j + 1) % side),
-                    )
-                )
-    return Partition(geometry, tuple(groups), kind=KIND_CROSS, step_cost=1)
+    # In row i the centers are the columns j = 2i (mod 5).
+    i = np.arange(side)[:, None]
+    j = 2 * i % 5 + 5 * np.arange(side // 5)
+    row, up, down = i * side, (i - 1) % side * side, (i + 1) % side * side
+    cells = np.stack([row + j, up + j, down + j, row + (j - 1) % side, row + (j + 1) % side], -1)
+    return _uniform_partition(geometry, cells.reshape(-1), 5, kind=KIND_CROSS, step_cost=1)
 
 
 def four_corners_partition(geometry: GridGeometry, d: int) -> Partition:
@@ -210,24 +211,12 @@ def four_corners_partition(geometry: GridGeometry, d: int) -> Partition:
     if d < 1:
         raise ValueError(f"tile parameter must be positive, got {d}")
     side = geometry.side
-    if side % (2 * d) != 0:
-        raise ValueError(
-            f"four-corners tiling requires {2 * d} | {side}, "
-            f"but {2 * d} does not divide {side}"
-        )
-    groups = []
-    for bi in range(side // (2 * d)):
-        for bj in range(side // (2 * d)):
-            for a in range(d):
-                for b in range(d):
-                    groups.append(
-                        tuple(
-                            Coord((2 * d * bi + a + x) % side, (2 * d * bj + b + y) % side)
-                            for x in (0, d)
-                            for y in (0, d)
-                        )
-                    )
-    return Partition(geometry, tuple(groups), kind=KIND_FOUR_CORNERS, step_cost=d)
+    _require_divides(2 * d, side, "four-corners tiling")
+    # Group (bi, bj, a, b) holds rows 2d*bi + a + x and cols 2d*bj + b + y, x and y in {0, d}.
+    lines = 2 * d * np.arange(side // (2 * d))[:, None, None] + np.arange(d)[:, None] + [0, d]
+    return _uniform_partition(
+        geometry, _interleave(lines, lines, side), 4, kind=KIND_FOUR_CORNERS, step_cost=d
+    )
 
 
 def custom_partition(
@@ -236,29 +225,19 @@ def custom_partition(
     step_cost: int = 1,
 ) -> Partition:
     """Wrap hand-built groups; cells wrap onto the grid, validity is not checked."""
-    wrapped = tuple(
-        tuple(normalize_coord(geometry, cell) for cell in group) for group in groups
-    )
-    return Partition(geometry, wrapped, kind=KIND_CUSTOM, step_cost=step_cost)
+    cells = [cell_index(geometry, cell) for group in groups for cell in group]
+    offsets = np.cumsum([0, *map(len, groups)], dtype=np.intp)
+    return Partition(geometry, np.array(cells, dtype=np.intp), offsets, step_cost=step_cost)
 
 
 def translate_partition(partition: Partition, offset: tuple[int, int]) -> Partition:
     """Shift every cell by a fixed offset; tiling survives torus translation."""
     di, dj = offset
-    side = partition.geometry.side
-    groups = tuple(
-        tuple(Coord((c.row + di) % side, (c.col + dj) % side) for c in group)
-        for group in partition.groups
-    )
-    shift = None
-    if partition.tile_side is not None:
-        si, sj = partition.tile_shift
-        shift = ((si + di) % partition.tile_side, (sj + dj) % partition.tile_side)
-    return Partition(
-        partition.geometry,
-        groups,
-        kind=partition.kind,
-        step_cost=partition.step_cost,
-        tile_side=partition.tile_side,
-        tile_shift=shift if shift is not None else (0, 0),
+    side, d = partition.geometry.side, partition.tile_side
+    rows, cols = np.divmod(partition.cells, side)
+    si, sj = partition.tile_shift
+    return replace(
+        partition,
+        cells=(rows + di) % side * side + (cols + dj) % side,
+        tile_shift=(0, 0) if d is None else ((si + di) % d, (sj + dj) % d),
     )

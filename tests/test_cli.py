@@ -138,6 +138,7 @@ def test_sweep_continues_past_failing_points(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     report = (out / "report.txt").read_text()
     assert "ERROR" in report
+    assert "ValueError:" in report
     dirs = [p.name for p in out.iterdir() if p.is_dir()]
     assert any(d.startswith("n256") for d in dirs)
     assert not any(d.startswith("n64") for d in dirs)

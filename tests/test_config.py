@@ -87,7 +87,7 @@ def test_heatmaps_require_a_snapshot_stride():
 
 def test_sweep_lists_and_expansion():
     config = parse_config("L = 4\nsweep_n = 16,64\nsweep_d = 2,4\n")
-    points = list(config.point_labels_and_configs())
+    points = [(label, build()) for label, build in config.sweep_points()]
     assert len(points) == 4
     labels = [label for label, _ in points]
     assert labels[0].startswith("n16_d2_square")
@@ -103,7 +103,7 @@ def test_sweep_validates_each_size():
 
 def test_sweep_marked_placements():
     config = parse_config("L = 8\nsweep_marked = 1,1,5,5\n")
-    points = list(config.point_labels_and_configs())
+    points = [(label, build()) for label, build in config.sweep_points()]
     assert len(points) == 2
     cells = [rc.marked.normalized(rc.geometry) for _, rc in points]
     assert cells == [((1, 1),), ((5, 5),)]

@@ -9,16 +9,23 @@ from gridgrover import (
     DiffusionSpec,
     GridGeometry,
     GridState,
+    InvalidPartitionError,
     MarkedSet,
     OracleSpec,
+    Partition,
     apply_global_grover,
     apply_oracle,
     apply_partition_diffusion,
     basis_state,
     custom_partition,
+    four_corners_partition,
     marked_probability,
     materialize_dense,
+    shifted_square_partition,
+    square_partition,
+    translate_partition,
     uniform_state,
+    validate_partition,
 )
 from test_tessellation import all_legal_partitions
 
@@ -258,3 +265,54 @@ def test_diffusion_spec_rejects_invalid_partition():
     g = GridGeometry(4)
     with pytest.raises(ValueError):
         DiffusionSpec(custom_partition(g, [[(0, 0)]]))
+
+
+def test_diffusion_spec_rejects_a_lying_tile_descriptor():
+    # Each partition is an exact cover, but its groups are not the tiles that
+    # tile_side/tile_shift describe, so the reshape fast path would be wrong.
+    g = GridGeometry(8)
+    shifted = shifted_square_partition(g, 4)
+    corners = four_corners_partition(g, 2)
+    lies = [
+        Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(0, 0)),
+        Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(2, 1)),
+        Partition(g, corners.cells, corners.offsets, tile_side=2),
+        Partition(g, corners.cells, corners.offsets, tile_side=3),
+    ]
+    for partition in lies:
+        assert validate_partition(partition).ok
+        with pytest.raises(InvalidPartitionError):
+            DiffusionSpec(partition)
+    # The same arrays under a true descriptor are accepted, whatever order the
+    # groups and their cells come in.
+    rng = np.random.default_rng(5)
+    tiles = shifted.cells.reshape(-1, 16)
+    shuffled = rng.permuted(tiles[rng.permutation(len(tiles))], axis=1).reshape(-1)
+    DiffusionSpec(Partition(g, shuffled, shifted.offsets, tile_side=4, tile_shift=(2, 2)))
+    DiffusionSpec(Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(6, -2)))
+
+
+def reference_tile_sweep(grid, d, shift):
+    # The np.roll formulation of the tile kernel, kept as the bitwise reference.
+    si, sj = shift
+    rolled = grid if (si, sj) == (0, 0) else np.roll(grid, (-si, -sj), axis=(0, 1))
+    side = grid.shape[0]
+    tiles = rolled.reshape(side // d, d, side // d, d)
+    means = tiles.mean(axis=(1, 3), keepdims=True)
+    tiles *= -1.0
+    tiles += 2.0 * means
+    if rolled is not grid:
+        grid[:] = np.roll(rolled, (si, sj), axis=(0, 1))
+
+
+@pytest.mark.parametrize("side", [2, 6, 8, 12])
+def test_buffered_tile_sweep_is_bitwise_the_rolled_one(side):
+    g = GridGeometry(side)
+    state = random_state(g, side)
+    for d in (d for d in range(1, side + 1) if side % d == 0):
+        for shift in [(si, sj) for si in range(d) for sj in range(d)] + [(side + 1, -1)]:
+            p = translate_partition(square_partition(g, d), shift)
+            expected = state.as_grid().copy()
+            reference_tile_sweep(expected, d, p.tile_shift)
+            apply_partition_diffusion(state, DiffusionSpec(p))
+            np.testing.assert_array_equal(state.as_grid(), expected)

@@ -237,3 +237,11 @@ def test_final_state_norm_survives_a_long_run():
     trace = run(RunConfig(GridGeometry(32)))
     assert trace.probabilities.shape == (128,)
     assert np.all(trace.probabilities >= 0) and np.all(trace.probabilities <= 1)
+
+
+def test_run_never_builds_coord_groups():
+    # The kernels read the partition arrays; Coord tuples are for tests only.
+    config = RunConfig(GridGeometry(64))
+    run(config)
+    for partition in (config.local_partition, config.dispersion_partition):
+        assert "groups" not in partition.__dict__

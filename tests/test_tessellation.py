@@ -1,3 +1,5 @@
+import csv
+import random
 from collections import Counter
 
 import numpy as np
@@ -7,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from gridgrover import (
     Coord,
     GridGeometry,
+    InvalidPartitionError,
+    Partition,
     cell_index,
     cross_partition,
     custom_partition,
+    emit_partition_csv,
     four_corners_partition,
     shifted_square_partition,
     square_partition,
@@ -35,6 +40,133 @@ def all_legal_partitions(side):
         if side % (2 * d) == 0:
             out.append(four_corners_partition(g, d))
     return out
+
+
+# Reference generators: the per-cell loops that defined each tessellation's
+# groups, in order, before partitions were built with numpy broadcasting.
+
+
+def reference_block_groups(side, d, shift):
+    return [
+        tuple(
+            Coord((d * bi + x + shift) % side, (d * bj + y + shift) % side)
+            for x in range(d)
+            for y in range(d)
+        )
+        for bi in range(side // d)
+        for bj in range(side // d)
+    ]
+
+
+def reference_cross_groups(side):
+    return [
+        (
+            Coord(i, j),
+            Coord((i - 1) % side, j),
+            Coord((i + 1) % side, j),
+            Coord(i, (j - 1) % side),
+            Coord(i, (j + 1) % side),
+        )
+        for i in range(side)
+        for j in range(side)
+        if (i + 2 * j) % 5 == 0
+    ]
+
+
+def reference_four_corners_groups(side, d):
+    return [
+        tuple(
+            Coord((2 * d * bi + a + x) % side, (2 * d * bj + b + y) % side)
+            for x in (0, d)
+            for y in (0, d)
+        )
+        for bi in range(side // (2 * d))
+        for bj in range(side // (2 * d))
+        for a in range(d)
+        for b in range(d)
+    ]
+
+
+def reference_translate(groups, side, di, dj):
+    return [tuple(Coord((c.row + di) % side, (c.col + dj) % side) for c in g) for g in groups]
+
+
+def legal_partitions_with_reference(side):
+    """(partition, reference groups) for every generator/parameter that tiles the torus."""
+    g = GridGeometry(side)
+    out = []
+    for d in legal_square_sides(side):
+        out.append((square_partition(g, d), reference_block_groups(side, d, 0)))
+        out.append((shifted_square_partition(g, d), reference_block_groups(side, d, d // 2)))
+    if side % 5 == 0:
+        out.append((cross_partition(g), reference_cross_groups(side)))
+    for d in range(1, side // 2 + 1):
+        if side % (2 * d) == 0:
+            out.append((four_corners_partition(g, d), reference_four_corners_groups(side, d)))
+    return out
+
+
+def test_array_generators_match_reference_loops_up_to_40():
+    rng = random.Random(1303)
+    for side in range(2, 41):
+        for p, reference in legal_partitions_with_reference(side):
+            assert p.groups == tuple(reference), (side, p.kind, p.tile_side)
+            di, dj = rng.randint(-3 * side, 3 * side), rng.randint(-3 * side, 3 * side)
+            moved = translate_partition(p, (di, dj))
+            assert moved.groups == tuple(reference_translate(reference, side, di, dj))
+            assert (moved.kind, moved.step_cost, moved.tile_side) == (
+                p.kind,
+                p.step_cost,
+                p.tile_side,
+            )
+
+
+def reference_partition_csv(geometry, groups, path):
+    ids = np.full(geometry.cell_count, -1, dtype=np.int64)
+    for g, group in enumerate(groups):
+        for cell in group:
+            ids[cell_index(geometry, cell)] = g
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["i", "j", "group"])
+        for flat in range(geometry.cell_count):
+            writer.writerow([flat // geometry.side, flat % geometry.side, int(ids[flat])])
+    return path
+
+
+@pytest.mark.parametrize("side", [4, 10, 12])
+def test_partition_csv_bytes_match_reference_emitter(tmp_path, side):
+    g = GridGeometry(side)
+    partial = custom_partition(g, [[(0, 0), (1, 1)], [(2, 3)]])
+    cases = legal_partitions_with_reference(side)
+    cases.append((partial, partial.groups))
+    for k, (p, reference) in enumerate(cases):
+        got = emit_partition_csv(p, tmp_path / f"got{k}.csv").read_bytes()
+        want = reference_partition_csv(g, reference, tmp_path / f"want{k}.csv").read_bytes()
+        assert got == want, (side, p.kind, p.tile_side)
+
+
+def test_partition_arrays_describe_groups():
+    p = four_corners_partition(GridGeometry(8), 2)
+    assert p.cells.dtype == np.intp and p.offsets.dtype == np.intp
+    assert p.offsets.tolist() == list(range(0, 65, 4))
+    assert p.cells[:4].tolist() == [cell_index(p.geometry, c) for c in p.groups[0]]
+    np.testing.assert_array_equal(p.group_sizes, 4.0)
+    np.testing.assert_array_equal(p.group_ids[p.cells], np.repeat(np.arange(16), 4))
+
+
+def test_validate_partition_rejects_malformed_arrays():
+    g = GridGeometry(2)
+    cells = np.arange(4)
+    with pytest.raises(InvalidPartitionError):
+        validate_partition(Partition(g, cells, np.array([0, 3])))
+    with pytest.raises(InvalidPartitionError):
+        validate_partition(Partition(g, cells, np.array([0, 3, 2, 4])))
+    with pytest.raises(InvalidPartitionError):
+        validate_partition(Partition(g, np.array([0, 1, 2, 4]), np.array([0, 4])))
+    with pytest.raises(InvalidPartitionError):
+        validate_partition(Partition(g, np.array([-1, 1, 2, 3]), np.array([0, 4])))
+    assert validate_partition(Partition(g, cells, np.array([0, 4]))).ok
 
 
 def test_square_partition_whole_grid():
