@@ -42,11 +42,8 @@ from .grid import (
     uniform_state,
 )
 from .operators import (
-    GLOBAL_DIFFUSION,
     DiffusionSpec,
-    GlobalDiffusionSpec,
     OracleSpec,
-    apply_global_grover,
     apply_oracle,
     apply_partition_diffusion,
     materialize_dense,

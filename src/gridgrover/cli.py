@@ -100,12 +100,11 @@ def _cmd_grover(args: argparse.Namespace) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         emit_trace_csv(trace, args.out / "grover_trace.csv")
-        if config.snapshot_stride and trace.snapshots:
-            style = HeatmapStyle(scale=config.heatmap_scale)
-            for iteration, grid in sorted(trace.snapshots.items()):
-                emit_snapshot_csv(grid, args.out / f"grover_snapshot_iter{iteration:05d}.csv")
-                if config.emit_heatmaps:
-                    emit_heatmap(grid, style, args.out / f"grover_heatmap_iter{iteration:05d}.ppm")
+        style = HeatmapStyle(scale=config.heatmap_scale)
+        for iteration, grid in sorted(trace.snapshots.items()):
+            emit_snapshot_csv(grid, args.out / f"grover_snapshot_iter{iteration:05d}.csv")
+            if config.emit_heatmaps:
+                emit_heatmap(grid, style, args.out / f"grover_heatmap_iter{iteration:05d}.ppm")
     return 0
 
 

@@ -33,7 +33,7 @@ __all__ = [
     "uniform_state",
 ]
 
-# Tolerance on |sum(a^2) - 1| enforced after every operator application.
+# Tolerance on |sum(a^2) - 1|, checked on construction and once per simulated round.
 NORM_ATOL = 1e-9
 
 

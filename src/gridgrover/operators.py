@@ -1,12 +1,16 @@
-"""Reflections applied to the grid state: oracle, group diffusion, global diffusion.
+"""Reflections applied to the grid state: the oracle and the group diffusion.
 
-All three are real involutions, applied in place:
+Both are real involutions, applied in place:
 
 * oracle           -- negate the amplitude of every marked cell.
 * group diffusion  -- within each partition group with mean m, map a -> 2m - a
   (reflect about the group's uniform superposition).
-* global diffusion -- the same sweep with one group spanning the whole grid,
-  i.e. the complete-graph inversion about the mean.
+
+There is no separate global diffusion: the complete-graph inversion about
+the mean is the diffusion of the one-tile tessellation,
+``DiffusionSpec(square_partition(geometry, geometry.side))``.  The
+operators do not check the norm; the round loop in ``simulator`` does, once
+per round.
 
 ``materialize_dense`` builds the n x n matrix of any operator directly from
 its defining formula, independent of the sweep kernels, so tests can compare
@@ -25,11 +29,8 @@ from .tessellation import InvalidPartitionError, Partition, validate_partition
 
 __all__ = [
     "DENSE_CELL_CAP",
-    "GLOBAL_DIFFUSION",
     "DiffusionSpec",
-    "GlobalDiffusionSpec",
     "OracleSpec",
-    "apply_global_grover",
     "apply_oracle",
     "apply_partition_diffusion",
     "materialize_dense",
@@ -73,19 +74,10 @@ def _require_tiles(partition: Partition) -> None:
     raise InvalidPartitionError(f"groups are not the {d} x {d} tiles shifted by {(si, sj)}")
 
 
-@dataclass(frozen=True)
-class GlobalDiffusionSpec:
-    """Marker for the complete-graph inversion about the global mean."""
-
-
-GLOBAL_DIFFUSION = GlobalDiffusionSpec()
-
-
 def apply_oracle(state: GridState, spec: OracleSpec) -> GridState:
     """Negate marked amplitudes in place; everything else is untouched."""
     idx = spec.marked.indices(state.geometry)
     state.amplitudes[idx] *= -1.0
-    state.check_norm()
     return state
 
 
@@ -101,7 +93,6 @@ def apply_partition_diffusion(state: GridState, spec: DiffusionSpec) -> GridStat
         _tile_sweep(state, partition.tile_side, partition.tile_shift)
     else:
         _group_sweep(state.amplitudes, partition)
-    state.check_norm()
     return state
 
 
@@ -137,16 +128,8 @@ def _group_sweep(amplitudes: np.ndarray, partition: Partition) -> None:
     np.subtract(doubled_means[ids], amplitudes, out=amplitudes)
 
 
-def apply_global_grover(state: GridState) -> GridState:
-    """Inversion about the global mean (the complete-graph diffusion)."""
-    a = state.amplitudes
-    np.subtract(2.0 * a.mean(), a, out=a)
-    state.check_norm()
-    return state
-
-
 def materialize_dense(
-    op: "OracleSpec | DiffusionSpec | GlobalDiffusionSpec",
+    op: "OracleSpec | DiffusionSpec",
     geometry: GridGeometry,
     max_cells: int = DENSE_CELL_CAP,
 ) -> np.ndarray:
@@ -170,6 +153,4 @@ def materialize_dense(
         for flat in np.split(op.partition.cells, op.partition.offsets[1:-1]):
             matrix[np.ix_(flat, flat)] += 2.0 / flat.size
         return matrix
-    if isinstance(op, GlobalDiffusionSpec):
-        return np.full((n, n), 2.0 / n) - np.eye(n)
     raise TypeError(f"cannot materialize {type(op).__name__}")

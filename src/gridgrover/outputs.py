@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +63,15 @@ def read_trace_csv(path: "str | Path") -> dict[str, np.ndarray]:
 
 
 def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
-    """Write one ``i,j,amplitude`` row per cell, row-major."""
+    """Write one ``i,j,amplitude`` row per cell, row-major, one format pass per grid row."""
     grid = np.asarray(grid)
+    cols = range(grid.shape[1])
+    line = "%d,%d,%.17g\r\n" * len(cols)
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "amplitude"])
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                writer.writerow([i, j, _fmt(grid[i, j])])
+        handle.write("i,j,amplitude\r\n")
+        for i, row in enumerate(grid):
+            handle.write(line % tuple(chain.from_iterable(zip(repeat(i), cols, row.tolist()))))
     return path
 
 

@@ -1,4 +1,4 @@
-"""The iteration loop: schedule the operator round, record traces, count costs.
+"""The round loop: schedule the operator round, record traces, count costs.
 
 One iteration is one complete round of the schedule.  The two-diffusion
 search round is a four-step product read in either direction: ``ltr`` runs
@@ -9,6 +9,10 @@ match the reference series to all four printed decimals at every table
 size, with the reference's iteration column equal to exactly two
 oracle-diffusion pairs per round.  Both toggles remain available.
 
+``run`` and the complete-graph ``run_grover_reference`` differ only in the
+round they apply; one loop starts both from the uniform state, checks the
+norm once per round, and records probabilities, snapshots and costs.
+
 Cost accounting is nominal walk steps: 2*sqrt(n) once for building the
 initial superposition, then per round one step per oracle call plus each
 diffusion's step cost (the tile side for squares, 1 for crosses).
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .grid import (
     GridGeometry,
     GridState,
     MarkedSet,
+    coord_of_index,
     marked_probability,
     normalize_coord,
     uniform_state,
@@ -56,6 +61,11 @@ STEP_ORACLE = "oracle"
 STEP_LOCAL = "local_diffusion"
 STEP_DISPERSION = "dispersion"
 _KNOWN_STEPS = (STEP_ORACLE, STEP_LOCAL, STEP_DISPERSION)
+# The two readings of the four-operator round.
+_ORDERS = {
+    "ltr": (STEP_ORACLE, STEP_LOCAL, STEP_ORACLE, STEP_DISPERSION),
+    "rtl": (STEP_DISPERSION, STEP_ORACLE, STEP_LOCAL, STEP_ORACLE),
+}
 
 DEFAULT_TILE_SIDE = 4
 # Fixed by calibration against the reference peak series; see experiments.py.
@@ -76,20 +86,10 @@ class Schedule:
             raise ValueError(f"unknown schedule steps {unknown}; expected {_KNOWN_STEPS}")
 
     @classmethod
-    def right_to_left(cls) -> "Schedule":
-        return cls((STEP_DISPERSION, STEP_ORACLE, STEP_LOCAL, STEP_ORACLE))
-
-    @classmethod
-    def left_to_right(cls) -> "Schedule":
-        return cls((STEP_ORACLE, STEP_LOCAL, STEP_ORACLE, STEP_DISPERSION))
-
-    @classmethod
     def from_order(cls, order: str) -> "Schedule":
-        if order == "rtl":
-            return cls.right_to_left()
-        if order == "ltr":
-            return cls.left_to_right()
-        raise ValueError(f"order must be 'rtl' or 'ltr', got {order!r}")
+        if order not in _ORDERS:
+            raise ValueError(f"order must be 'rtl' or 'ltr', got {order!r}")
+        return cls(_ORDERS[order])
 
 
 def default_marked_cell(geometry: GridGeometry) -> Coord:
@@ -122,9 +122,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.marked is None:
-            object.__setattr__(
-                self, "marked", MarkedSet(frozenset({default_marked_cell(self.geometry)}))
-            )
+            object.__setattr__(self, "marked", MarkedSet.of(default_marked_cell(self.geometry)))
         if self.local_partition is None:
             object.__setattr__(
                 self, "local_partition", square_partition(self.geometry, DEFAULT_TILE_SIDE)
@@ -182,7 +180,7 @@ class SimulationTrace:
     follow ``marked_cells`` order.
     """
 
-    geometry: GridGeometry | None
+    geometry: GridGeometry
     marked_cells: tuple[Coord, ...]
     initial_probability: float
     probabilities: np.ndarray
@@ -198,64 +196,73 @@ def snapshot(state: GridState) -> np.ndarray:
     return state.as_grid().copy()
 
 
-def _clip_probability(p: float) -> float:
-    # Round-off may push a Born sum a few ulp outside [0, 1].
-    if p < 0.0 or p > 1.0 + 1e-9:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return min(p, 1.0)
+def _iterate(
+    geometry: GridGeometry,
+    marked: MarkedSet,
+    apply_round: Callable[[GridState], None],
+    iterations: int,
+    stride: int,
+    per_round: CostCounters,
+    initial_steps: int,
+) -> SimulationTrace:
+    """The round loop: apply ``apply_round`` in place, check the norm, record.
 
-
-def run(config: RunConfig) -> SimulationTrace:
-    """Drive the grid search from the uniform state over the full horizon."""
-    geometry = config.geometry
+    ``per_round`` holds the counts one round adds; the totals and the
+    cumulative step column follow from them.
+    """
     state = uniform_state(geometry)
-    oracle = OracleSpec(config.marked)
-    local = DiffusionSpec(config.local_partition)
-    dispersion = DiffusionSpec(config.dispersion_partition)
-    marked_cells = config.marked.normalized(geometry)
-    marked_idx = config.marked.indices(geometry)
-
-    iterations = config.max_iterations
-    probabilities = np.empty(iterations)
+    marked_cells = marked.normalized(geometry)
+    marked_idx = marked.indices(geometry)
     per_cell = np.empty((iterations, len(marked_cells)))
-    cumulative = np.empty(iterations, dtype=np.int64)
     snapshots: dict[int, np.ndarray] = {}
-    counters = CostCounters(nominal_steps=2 * geometry.side)
-
-    initial = _clip_probability(marked_probability(state, config.marked))
-    stride = config.snapshot_stride
-    per_round = config.steps_per_iteration
+    initial = min(marked_probability(state, marked), 1.0)
 
     for iteration in range(1, iterations + 1):
-        for step in config.schedule.steps:
-            if step == STEP_ORACLE:
-                apply_oracle(state, oracle)
-                counters.oracle_calls += 1
-            elif step == STEP_LOCAL:
-                apply_partition_diffusion(state, local)
-                counters.diffusion_applications += 1
-            else:
-                apply_partition_diffusion(state, dispersion)
-                counters.diffusion_applications += 1
-        counters.nominal_steps += per_round
+        apply_round(state)
+        state.check_norm()
         picked = state.amplitudes[marked_idx]
-        cell_probs = picked * picked
-        probabilities[iteration - 1] = _clip_probability(float(cell_probs.sum()))
-        per_cell[iteration - 1] = cell_probs
-        cumulative[iteration - 1] = counters.nominal_steps
+        per_cell[iteration - 1] = picked * picked
         if stride and iteration % stride == 0:
             snapshots[iteration] = snapshot(state)
 
+    # The norm check bounds every Born sum by 1 + 1e-9; clip the last-ulp excess.
+    probabilities = np.minimum(per_cell.sum(axis=1), 1.0)
+    rounds = np.arange(1, iterations + 1, dtype=np.int64)
     return SimulationTrace(
         geometry=geometry,
         marked_cells=marked_cells,
         initial_probability=initial,
         probabilities=probabilities,
         per_cell_probabilities=per_cell,
-        cumulative_steps=cumulative,
+        cumulative_steps=initial_steps + per_round.nominal_steps * rounds,
         snapshots=snapshots,
-        counters=counters,
+        counters=CostCounters(
+            oracle_calls=per_round.oracle_calls * iterations,
+            diffusion_applications=per_round.diffusion_applications * iterations,
+            nominal_steps=initial_steps + per_round.nominal_steps * iterations,
+        ),
         peak=analysis.peak(probabilities),
+    )
+
+
+def run(config: RunConfig) -> SimulationTrace:
+    """Drive the grid search from the uniform state over the full horizon."""
+    operators = {
+        STEP_ORACLE: (apply_oracle, OracleSpec(config.marked)),
+        STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
+        STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
+    }
+    steps = [operators[step] for step in config.schedule.steps]
+
+    def apply_round(state: GridState) -> None:
+        for apply, spec in steps:
+            apply(state, spec)
+
+    oracles = config.schedule.steps.count(STEP_ORACLE)
+    per_round = CostCounters(oracles, len(steps) - oracles, config.steps_per_iteration)
+    return _iterate(
+        config.geometry, config.marked, apply_round, config.max_iterations,
+        config.snapshot_stride, per_round, initial_steps=2 * config.geometry.side,
     )
 
 
@@ -269,60 +276,33 @@ def run_grover_reference(
     """Complete-graph search: oracle plus inversion about the global mean.
 
     The closed-form probability after k rounds is sin^2((2k+1) * theta) with
-    sin^2(theta) = marked_count / n.  Snapshots are recorded as sqrt(n) x
-    sqrt(n) grids when n is a perfect square.  Nominal steps count one per
-    oracle call and one per diffusion; the walk-cost model of the grid
-    algorithm does not apply to the complete graph.
+    sin^2(theta) = marked_count / n.  ``n`` must be L^2 for a grid side
+    L >= 2: marked indices are row-major cells of that grid and snapshots
+    are L x L.  The inversion is the one-tile tessellation's diffusion,
+    written as two numpy passes.  Nominal steps count one per oracle call
+    and one per diffusion; the walk-cost model of the grid algorithm does
+    not apply to the complete graph.
     """
+    side = math.isqrt(n)
+    if side < 2 or side * side != n:
+        raise ValueError(f"n must be L^2 for a grid side L >= 2, got n={n}")
     if not 1 <= marked_count < n:
         raise ValueError(f"need 1 <= marked_count < n, got marked_count={marked_count}, n={n}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    geometry = GridGeometry(side)
     if marked_indices is None:
         marked_indices = range(marked_count)
-    idx = np.array(sorted(set(int(i) for i in marked_indices)), dtype=np.intp)
-    if len(idx) != marked_count:
+    # coord_of_index rejects indices outside [0, n).
+    marked = MarkedSet(frozenset(coord_of_index(geometry, int(i)) for i in marked_indices))
+    if len(marked.cells) != marked_count:
         raise ValueError("marked_indices must contain marked_count distinct indices")
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError("marked_indices must lie in [0, n)")
+    idx = marked.indices(geometry)
 
-    side = math.isqrt(n)
-    geometry = GridGeometry(side) if side * side == n and side >= 2 else None
-    if geometry is not None:
-        marked_cells = tuple(Coord(int(i) // side, int(i) % side) for i in idx)
-    else:
-        marked_cells = tuple(Coord(0, int(i)) for i in idx)
+    def apply_round(state: GridState) -> None:
+        a = state.amplitudes
+        a[idx] *= -1.0
+        np.subtract(2.0 * a.mean(), a, out=a)
 
-    amplitudes = np.full(n, 1.0 / math.sqrt(n))
-    probabilities = np.empty(iterations)
-    per_cell = np.empty((iterations, marked_count))
-    cumulative = np.empty(iterations, dtype=np.int64)
-    snapshots: dict[int, np.ndarray] = {}
-    counters = CostCounters()
-    initial = float(marked_count) / n
-
-    for k in range(1, iterations + 1):
-        amplitudes[idx] *= -1.0
-        np.subtract(2.0 * amplitudes.mean(), amplitudes, out=amplitudes)
-        counters.oracle_calls += 1
-        counters.diffusion_applications += 1
-        counters.nominal_steps += 2
-        picked = amplitudes[idx]
-        cell_probs = picked * picked
-        probabilities[k - 1] = _clip_probability(float(cell_probs.sum()))
-        per_cell[k - 1] = cell_probs
-        cumulative[k - 1] = counters.nominal_steps
-        if snapshot_stride and k % snapshot_stride == 0 and geometry is not None:
-            snapshots[k] = amplitudes.reshape(side, side).copy()
-
-    return SimulationTrace(
-        geometry=geometry,
-        marked_cells=marked_cells,
-        initial_probability=initial,
-        probabilities=probabilities,
-        per_cell_probabilities=per_cell,
-        cumulative_steps=cumulative,
-        snapshots=snapshots,
-        counters=counters,
-        peak=analysis.peak(probabilities),
-    )
+    per_round = CostCounters(oracle_calls=1, diffusion_applications=1, nominal_steps=2)
+    return _iterate(geometry, marked, apply_round, iterations, snapshot_stride, per_round, 0)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from gridgrover import (
-    GLOBAL_DIFFUSION,
     DiffusionSpec,
     GridGeometry,
     HeatmapStyle,
@@ -29,6 +28,7 @@ from gridgrover import (
     run,
     run_grover_reference,
     scaling_fit,
+    square_partition,
     table_report,
     uniform_state,
 )
@@ -180,7 +180,7 @@ def test_criterion_6a_dense_unitarity():
         eye = np.eye(g.cell_count)
         matrices = [
             materialize_dense(OracleSpec(MarkedSet.of((1, 1))), g),
-            materialize_dense(GLOBAL_DIFFUSION, g),
+            materialize_dense(DiffusionSpec(square_partition(g, side)), g),
         ]
         matrices += [materialize_dense(DiffusionSpec(p), g) for p in all_legal_partitions(side)]
         for matrix in matrices:

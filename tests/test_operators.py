@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgrover import (
-    GLOBAL_DIFFUSION,
     DiffusionSpec,
     GridGeometry,
     GridState,
@@ -13,7 +12,6 @@ from gridgrover import (
     MarkedSet,
     OracleSpec,
     Partition,
-    apply_global_grover,
     apply_oracle,
     apply_partition_diffusion,
     basis_state,
@@ -80,22 +78,29 @@ def test_uniform_state_is_fixed_by_every_diffusion():
             assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12, p.kind
 
 
-def test_single_tile_diffusion_equals_global_reflection():
-    from gridgrover import square_partition
+def one_tile(geometry):
+    # The complete-graph inversion about the mean: the tessellation with one tile.
+    return DiffusionSpec(square_partition(geometry, geometry.side))
 
-    g = GridGeometry(4)
+
+@pytest.mark.parametrize("side", [2, 4, 8, 10])
+def test_single_tile_diffusion_equals_global_reflection(side):
+    g = GridGeometry(side)
+    n = g.cell_count
+    global_reflection = np.full((n, n), 2.0 / n) - np.eye(n)
+    assert np.max(np.abs(materialize_dense(one_tile(g), g) - global_reflection)) <= 1e-12
     state = random_state(g, 3)
-    expected = materialize_dense(GLOBAL_DIFFUSION, g) @ state.amplitudes
-    apply_partition_diffusion(state, DiffusionSpec(square_partition(g, 4)))
+    expected = global_reflection @ state.amplitudes
+    apply_partition_diffusion(state, one_tile(g))
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
 def test_global_grover_on_uniform_and_basis():
     g = GridGeometry(2)
-    state = apply_global_grover(uniform_state(g))
+    state = apply_partition_diffusion(uniform_state(g), one_tile(g))
     np.testing.assert_allclose(state.amplitudes, 0.5, atol=1e-15)
 
-    state = apply_global_grover(basis_state(g, (0, 0)))
+    state = apply_partition_diffusion(basis_state(g, (0, 0)), one_tile(g))
     np.testing.assert_allclose(state.amplitudes, [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
 
@@ -104,7 +109,7 @@ def test_one_grover_round_on_four_cells_is_exact():
     g = GridGeometry(2)
     marked = MarkedSet.of((1, 0))
     state = uniform_state(g)
-    apply_global_grover(apply_oracle(state, OracleSpec(marked)))
+    apply_partition_diffusion(apply_oracle(state, OracleSpec(marked)), one_tile(g))
     assert marked_probability(state, marked) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,8 +119,9 @@ def test_global_grover_closed_form():
     theta = math.asin(1.0 / 4.0)
     state = uniform_state(g)
     spec = OracleSpec(marked)
+    diffusion = one_tile(g)
     for k in range(1, 21):
-        apply_global_grover(apply_oracle(state, spec))
+        apply_partition_diffusion(apply_oracle(state, spec), diffusion)
         expected = math.sin((2 * k + 1) * theta) ** 2
         assert marked_probability(state, marked) == pytest.approx(expected, abs=1e-9)
 
@@ -133,13 +139,11 @@ def test_materialize_dense_oracle_and_tiny_diffusion():
 
 
 def test_materialize_dense_respects_cap():
+    g = GridGeometry(65)
     with pytest.raises(ValueError):
-        materialize_dense(GLOBAL_DIFFUSION, GridGeometry(65))
+        materialize_dense(one_tile(g), g)
     # explicit cap override
-    assert materialize_dense(GLOBAL_DIFFUSION, GridGeometry(65), max_cells=65 * 65).shape == (
-        4225,
-        4225,
-    )
+    assert materialize_dense(one_tile(g), g, max_cells=65 * 65).shape == (4225, 4225)
 
 
 def test_materialize_dense_rejects_unknown_operators():
@@ -155,7 +159,7 @@ def test_dense_matrices_are_unitary():
         operators = [
             materialize_dense(OracleSpec(MarkedSet.of((1, 1))), g),
             materialize_dense(OracleSpec(MarkedSet.of((0, 0), (side - 1, 2))), g),
-            materialize_dense(GLOBAL_DIFFUSION, g),
+            materialize_dense(one_tile(g), g),
         ]
         operators += [
             materialize_dense(DiffusionSpec(p), g) for p in all_legal_partitions(side)
@@ -247,7 +251,7 @@ def test_operators_keep_states_real():
     for op in (
         OracleSpec(MarkedSet.of((3, 3))),
         DiffusionSpec(all_legal_partitions(4)[0]),
-        GLOBAL_DIFFUSION,
+        one_tile(g),
     ):
         psi = materialize_dense(op, g) @ psi
         assert np.all(psi.imag == 0.0)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +65,32 @@ def test_snapshot_csv(tmp_path):
     assert lines[1] == "0,0,0.5"
     assert lines[2] == "0,1,-0.5"
     assert lines[4] == "1,1,0"
+
+
+def reference_snapshot_csv(grid, path):
+    # The per-cell csv.writer emitter, kept as the byte reference.
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["i", "j", "amplitude"])
+        for i in range(grid.shape[0]):
+            for j in range(grid.shape[1]):
+                writer.writerow([i, j, format(float(grid[i, j]), ".17g")])
+
+
+def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=(400, 400)) / 400
+    grid[0, :4] = [-0.0, 5e-324, np.inf, 1 / 3]
+    grid[399, 399] = -np.inf
+    grid[17, 3] = 1e300
+    reference_snapshot_csv(grid, tmp_path / "reference.csv")
+    emit_snapshot_csv(grid, tmp_path / "snap.csv")
+    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # A non-square grid keeps its row and column numbering.
+    wide = grid[:3, :7]
+    reference_snapshot_csv(wide, tmp_path / "wide_reference.csv")
+    emit_snapshot_csv(wide, tmp_path / "wide.csv")
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "wide_reference.csv").read_bytes()
 
 
 def test_partition_csv(tmp_path):

@@ -7,6 +7,7 @@ from gridgrover import (
     DiffusionSpec,
     GridGeometry,
     MarkedSet,
+    NormDriftError,
     OracleSpec,
     RunConfig,
     Schedule,
@@ -22,6 +23,7 @@ from gridgrover import (
     square_partition,
     uniform_state,
 )
+from gridgrover import simulator
 from gridgrover.simulator import DEFAULT_ORDER, STEP_DISPERSION, STEP_LOCAL, STEP_ORACLE
 
 
@@ -218,6 +220,11 @@ def test_grover_reference_counters_and_snapshots():
     assert sorted(trace.snapshots) == [5, 10]
     assert trace.snapshots[5].shape == (20, 20)
     assert trace.marked_cells == ((11, 11),)
+    assert trace.geometry == GridGeometry(20)
+
+    trace = run_grover_reference(400, 3, 2, marked_indices=[399, 0, 45])
+    assert trace.geometry == GridGeometry(20)
+    assert trace.marked_cells == ((0, 0), (2, 5), (19, 19))
 
 
 def test_grover_reference_validation():
@@ -229,14 +236,34 @@ def test_grover_reference_validation():
         run_grover_reference(4, 2, 3, marked_indices=[1, 1])
     with pytest.raises(ValueError):
         run_grover_reference(4, 1, 3, marked_indices=[9])
+    with pytest.raises(ValueError):
+        run_grover_reference(4, 1, 3, marked_indices=[-1])
+    # n must be the cell count of a grid of side at least 2
+    with pytest.raises(ValueError):
+        run_grover_reference(8, 1, 3)
+    with pytest.raises(ValueError):
+        run_grover_reference(2, 1, 3)
 
 
 def test_final_state_norm_survives_a_long_run():
-    # every operator application asserts the norm internally; a completed
-    # run is the evidence
+    # the round loop asserts the norm after every round; a completed run is
+    # the evidence
     trace = run(RunConfig(GridGeometry(32)))
     assert trace.probabilities.shape == (128,)
     assert np.all(trace.probabilities >= 0) and np.all(trace.probabilities <= 1)
+
+
+def test_run_raises_on_norm_drift(monkeypatch):
+    real_oracle = simulator.apply_oracle
+
+    def leaky_oracle(state, spec):
+        real_oracle(state, spec)
+        state.amplitudes *= 1.0 + 1e-6
+        return state
+
+    monkeypatch.setattr(simulator, "apply_oracle", leaky_oracle)
+    with pytest.raises(NormDriftError):
+        run(RunConfig(GridGeometry(8)))
 
 
 def test_run_never_builds_coord_groups():
