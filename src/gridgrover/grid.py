@@ -13,7 +13,6 @@ throughput relative to a complex state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +87,8 @@ class MarkedSet:
     """The cells the search is looking for.  Nonempty, duplicates rejected."""
 
     cells: frozenset[Coord]
+    # geometry -> read-only flat offsets, filled by ``indices``.
+    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -105,10 +106,15 @@ class MarkedSet:
         return tuple(sorted(wrapped))
 
     def indices(self, geometry: GridGeometry) -> np.ndarray:
-        """Flat offsets of the marked cells, sorted."""
-        return np.array(
-            [cell_index(geometry, c) for c in self.normalized(geometry)], dtype=np.intp
-        )
+        """Flat offsets of the marked cells, sorted; built once per geometry, read-only."""
+        idx = self._indices.get(geometry)
+        if idx is None:
+            idx = np.array(
+                [cell_index(geometry, c) for c in self.normalized(geometry)], dtype=np.intp
+            )
+            idx.flags.writeable = False
+            self._indices[geometry] = idx
+        return idx
 
 
 @dataclass
@@ -140,18 +146,14 @@ class GridState:
 
     def check_norm(self, atol: float = NORM_ATOL) -> None:
         drift = abs(self.norm_squared - 1.0)
-        if drift > atol:
+        # Written so that a NaN drift fails too.
+        if not drift <= atol:
             raise NormDriftError(f"state norm drifted by {drift:.3e} (> {atol:.1e})")
 
     def as_grid(self) -> np.ndarray:
         """(L, L) view sharing the underlying buffer."""
         side = self.geometry.side
         return self.amplitudes.reshape(side, side)
-
-    @cached_property
-    def work_buffer(self) -> np.ndarray:
-        """(L, L) scratch array for kernels, allocated on first use; contents undefined."""
-        return np.empty_like(self.as_grid())
 
     def copy(self) -> "GridState":
         return GridState(self.geometry, self.amplitudes)

@@ -12,10 +12,30 @@ the mean is the diffusion of the one-tile tessellation,
 operators do not check the norm; the round loop in ``simulator`` does, once
 per round.
 
+Two sweep kernels apply the group diffusion.  General partitions (crosses,
+four corners, custom groups) go through one ``bincount`` of the amplitudes
+by group id and one gather of the doubled means.  Partitions of d x d tiles,
+aligned or shifted, share one tile kernel that reads the grid in place
+through strided slices and never rolls it (m = L/d tiles per axis):
+
+1. sum the d rows of each tile row into an (m, L) array -- one read of the
+   state; the tile row that wraps around the torus is its two edge strips;
+2. on that array, sum each tile's d columns with d strided adds (the
+   wrapped tile again from two strips), scale to doubled means and spread
+   them back over an (m, L) array -- work on 1/d of the state;
+3. write ``2 * mean - a`` in place with one broadcast subtract over the
+   unwrapped tile rows and one per edge strip -- one read and one write.
+
+The state moves through memory about one and a half times, a copy of it
+("one memcpy") counting as one read and one write; no temporary is larger
+than (m, L).  At L = 1024, d = 4 a sweep measured 3-4 memcpy on a 2-vCPU
+Xeon virtual machine, the rest being the (m, L) passes and numpy's
+reduction overhead.
+
 ``materialize_dense`` builds the n x n matrix of any operator directly from
 its defining formula, independent of the sweep kernels, so tests can compare
-the two routes.  The sweep is the production path: O(n) per application and
-never materialized.
+the two routes.  The sweeps are the production path: O(n) per application
+and never materialized.
 """
 
 from __future__ import annotations
@@ -90,35 +110,45 @@ def apply_partition_diffusion(state: GridState, spec: DiffusionSpec) -> GridStat
             f"state has side {state.geometry.side}"
         )
     if partition.tile_side is not None:
-        _tile_sweep(state, partition.tile_side, partition.tile_shift)
+        _tile_sweep(state.as_grid(), partition.tile_side, partition.tile_shift)
     else:
         _group_sweep(state.amplitudes, partition)
     return state
 
 
-def _roll_into(out: np.ndarray, grid: np.ndarray, si: int, sj: int) -> np.ndarray:
-    """``out[:] = np.roll(grid, (si, sj), axis=(0, 1))`` by four block copies, for 0 <= si, sj < L."""
-    side = grid.shape[0]
-    ri, rj = side - si, side - sj
-    out[si:, sj:] = grid[:ri, :rj]
-    out[si:, :sj] = grid[:ri, rj:]
-    out[:si, sj:] = grid[ri:, :rj]
-    out[:si, :sj] = grid[ri:, rj:]
-    return out
+def _tile_sweep(grid: np.ndarray, d: int, shift: tuple[int, int]) -> None:
+    """a -> 2 * mean(tile) - a over the d x d tiles shifted by ``shift``, in place.
 
-
-def _tile_sweep(state: GridState, d: int, shift: tuple[int, int]) -> None:
-    grid = state.as_grid()
+    The lattice depends only on the shift modulo d.  Rows and columns
+    ``s .. s+k-1`` (k = (m-1)*d) hold the m-1 tiles of each axis that do not
+    wrap; the last tile is the strip from s+k to the edge plus the strip
+    before s, which for the aligned lattice (s = 0) is just the last tile.
+    """
     side = grid.shape[0]
-    si, sj = shift[0] % side, shift[1] % side
-    # Rolling by -shift brings the tile lattice into alignment with axis 0.
-    rolled = _roll_into(state.work_buffer, grid, -si % side, -sj % side) if si or sj else grid
-    tiles = rolled.reshape(side // d, d, side // d, d)
-    means = tiles.mean(axis=(1, 3), keepdims=True)
-    tiles *= -1.0
-    tiles += 2.0 * means
-    if rolled is not grid:
-        _roll_into(grid, rolled, si, sj)
+    si, sj = shift[0] % d, shift[1] % d
+    m = side // d
+    k = (m - 1) * d
+    # Pass 1 over the grid: the d rows of each tile row summed into (m, L).
+    rows = np.empty((m, side))
+    grid[si:si + k].reshape(m - 1, d, side).sum(axis=1, out=rows[:-1])
+    np.add(grid[si + k:].sum(axis=0), grid[:si].sum(axis=0), out=rows[-1])
+    # Tile sums from d strided column adds, the wrapped tile last; then doubled means.
+    sums = np.empty((m, m))
+    sums[:, :-1] = rows[:, sj:sj + k:d]
+    for r in range(1, d):
+        sums[:, :-1] += rows[:, sj + r:sj + k:d]
+    np.add(rows[:, sj + k:].sum(axis=1), rows[:, :sj].sum(axis=1), out=sums[:, -1])
+    sums *= 2.0 / (d * d)
+    # Spread each doubled mean over its tile's d columns, reusing the row sums;
+    # the reshape splits only the contiguous axis, so it writes through to rows.
+    rows[:, sj:sj + k].reshape(m, m - 1, d)[...] = sums[:, :-1, None]
+    rows[:, sj + k:] = sums[:, -1:]
+    rows[:, :sj] = sums[:, -1:]
+    # Pass 2 over the grid: a -> 2 * mean - a.
+    body = grid[si:si + k].reshape(m - 1, d, side)
+    np.subtract(rows[:-1, None], body, out=body)
+    for strip in (grid[si + k:], grid[:si]):
+        np.subtract(rows[-1], strip, out=strip)
 
 
 def _group_sweep(amplitudes: np.ndarray, partition: Partition) -> None:

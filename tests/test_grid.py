@@ -7,6 +7,7 @@ from gridgrover import (
     GridGeometry,
     GridState,
     MarkedSet,
+    NormDriftError,
     basis_state,
     cell_index,
     coord_of_index,
@@ -82,6 +83,13 @@ def test_grid_state_validates_length_and_norm():
         GridState(g, np.ones(3))
     with pytest.raises(Exception):
         GridState(g, np.array([1.0, 1.0, 0.0, 0.0]))  # norm 2
+
+
+def test_grid_state_rejects_nan():
+    a = np.full(16, 0.25)
+    a[5] = np.nan
+    with pytest.raises(NormDriftError):
+        GridState(GridGeometry(4), a)
 
 
 def test_grid_state_rejects_complex():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridgrover import (
     DiffusionSpec,
@@ -297,7 +297,7 @@ def test_diffusion_spec_rejects_a_lying_tile_descriptor():
 
 
 def reference_tile_sweep(grid, d, shift):
-    # The np.roll formulation of the tile kernel, kept as the bitwise reference.
+    # The np.roll + 4-D mean formulation of the tile kernel, kept as the reference.
     si, sj = shift
     rolled = grid if (si, sj) == (0, 0) else np.roll(grid, (-si, -sj), axis=(0, 1))
     side = grid.shape[0]
@@ -310,7 +310,9 @@ def reference_tile_sweep(grid, d, shift):
 
 
 @pytest.mark.parametrize("side", [2, 6, 8, 12])
-def test_buffered_tile_sweep_is_bitwise_the_rolled_one(side):
+def test_tile_sweep_matches_the_rolled_one_to_4_ulp(side):
+    # The kernel sums rows before columns, the 4-D mean columns first (pairwise
+    # for d >= 8), so the two agree to rounding, not bitwise.
     g = GridGeometry(side)
     state = random_state(g, side)
     for d in (d for d in range(1, side + 1) if side % d == 0):
@@ -319,4 +321,48 @@ def test_buffered_tile_sweep_is_bitwise_the_rolled_one(side):
             expected = state.as_grid().copy()
             reference_tile_sweep(expected, d, p.tile_shift)
             apply_partition_diffusion(state, DiffusionSpec(p))
-            np.testing.assert_array_equal(state.as_grid(), expected)
+            np.testing.assert_allclose(
+                state.as_grid(), expected, rtol=0, atol=4 * np.finfo(float).eps
+            )
+
+
+@st.composite
+def tile_lattices(draw):
+    side = draw(st.integers(min_value=2, max_value=12))
+    d = draw(st.sampled_from([d for d in range(1, side + 1) if side % d == 0]))
+    shift = draw(st.tuples(*[st.integers(min_value=-2 * side, max_value=2 * side)] * 2))
+    return side, d, shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(tile_lattices(), st.integers(min_value=0, max_value=10_000))
+@example((2, 1, (0, 0)), 0)  # L = 2, d = 1: the identity
+@example((2, 2, (1, 1)), 1)  # L = 2, d = L: the global inversion
+@example((9, 3, (4, -2)), 2)  # odd d
+@example((12, 12, (5, 7)), 3)  # d = L, shifted
+@example((12, 1, (3, 3)), 4)  # d = 1
+def test_tile_group_and_dense_paths_agree(lattice, seed):
+    side, d, shift = lattice
+    g = GridGeometry(side)
+    fast = translate_partition(square_partition(g, d), shift)
+    generic = custom_partition(g, [list(grp) for grp in fast.groups])
+    assert fast.tile_side == d and generic.tile_side is None
+    a = random_state(g, seed)
+    expected = materialize_dense(DiffusionSpec(fast), g) @ a.amplitudes
+    b = a.copy()
+    apply_partition_diffusion(a, DiffusionSpec(fast))
+    apply_partition_diffusion(b, DiffusionSpec(generic))
+    assert np.max(np.abs(a.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(b.amplitudes - expected)) <= 1e-12
+
+
+def test_oracle_indices_are_built_once_per_geometry():
+    marked = MarkedSet.of((1, 5), (3, 3))
+    spec = OracleSpec(marked)
+    g = GridGeometry(6)
+    idx = marked.indices(g)
+    assert not idx.flags.writeable
+    apply_oracle(apply_oracle(uniform_state(g), spec), spec)
+    assert marked.indices(g) is idx
+    assert marked.indices(GridGeometry(4)).tolist() == [5, 15]
+    assert marked.indices(g) is idx

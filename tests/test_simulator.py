@@ -266,6 +266,19 @@ def test_run_raises_on_norm_drift(monkeypatch):
         run(RunConfig(GridGeometry(8)))
 
 
+def test_run_raises_on_nan(monkeypatch):
+    real_oracle = simulator.apply_oracle
+
+    def nan_oracle(state, spec):
+        real_oracle(state, spec)
+        state.amplitudes[0] = np.nan
+        return state
+
+    monkeypatch.setattr(simulator, "apply_oracle", nan_oracle)
+    with pytest.raises(NormDriftError):
+        run(RunConfig(GridGeometry(8)))
+
+
 def test_run_never_builds_coord_groups():
     # The kernels read the partition arrays; Coord tuples are for tests only.
     config = RunConfig(GridGeometry(64))
