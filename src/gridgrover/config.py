@@ -1,8 +1,9 @@
 """Experiment configuration: a flat key = value text format, fully validated.
 
-One ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored; list values are comma-separated.  Parsing collects every violation
-before failing, so a bad file reports all of its problems at once.
+One ``key = value`` pair per line; blank lines are ignored and ``#`` starts a
+comment anywhere on a line, so values cannot contain ``#``; list values are
+comma-separated.  Parsing collects every violation before failing, so a bad
+file reports all of its problems at once.
 
 Keys::
 
@@ -26,6 +27,10 @@ Keys::
     sweep_d             d values to sweep
     sweep_tessellation  local kinds to sweep
     sweep_marked        marked placements to sweep, one (i, j) pair each
+
+``parse_config`` only turns text into typed values; every rule about those
+values lives in ``ExperimentConfig``, which checks itself on construction,
+so ``with_overrides`` and ``dataclasses.replace`` results are validated too.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .tessellation import (
     four_corners_partition,
     shifted_square_partition,
     square_partition,
+    tiling_problem,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "make_partition", "parse_config"]
@@ -76,14 +82,12 @@ def make_partition(geometry: GridGeometry, kind: str, d: int) -> Partition:
     raise ValueError(f"unknown tessellation kind {kind!r}")
 
 
-def _divisibility_problem(side: int, kind: str, d: int) -> "str | None":
-    if kind in (KIND_SQUARE, KIND_SHIFTED_SQUARE) and side % d != 0:
-        return f"{kind} tessellation needs d | L: {d} does not divide {side}"
-    if kind == KIND_CROSS and side % 5 != 0:
-        return f"cross tessellation needs 5 | L: 5 does not divide {side}"
-    if kind == KIND_FOUR_CORNERS and side % (2 * d) != 0:
-        return f"four-corners tessellation needs 2d | L: {2 * d} does not divide {side}"
-    return None
+def _side_of(n: int) -> int:
+    """The side L of an n = L^2 grid; ValueError unless n is the square of some L >= 2."""
+    root = math.isqrt(max(n, 0))
+    if root * root != n or root < 2:
+        raise ValueError(f"{n} is not a perfect square of a side >= 2")
+    return root
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,60 @@ class ExperimentConfig:
     sweep_tessellation: tuple[str, ...] = ()
     sweep_marked: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        violations: list[str] = []
+        sides = [self.side] if self.side is not None and self.side >= 2 else []
+        if self.side is None:  # the text gave neither L nor n
+            violations.append("one of 'L' or 'n' is required")
+        elif not sides:
+            violations.append(f"L: side must be at least 2, got {self.side}")
+        elif self.marked_cells and len(self.marked_cells) != len(
+            {(i % self.side, j % self.side) for i, j in self.marked_cells}
+        ):
+            violations.append("marked: cells coincide after wrapping onto the grid")
+        if self.marked_cells == ():
+            violations.append("marked: expected at least one (i, j) pair")
+        for n in self.sweep_n:
+            try:
+                sides.append(_side_of(n))
+            except ValueError as exc:
+                violations.append(f"sweep_n: {exc}")
+        for key, kinds, known in (
+            ("tessellation", (self.local_kind,), _LOCAL_KINDS),
+            ("dispersion", (self.dispersion_kind,), _DISPERSION_KINDS),
+            ("sweep_tessellation", self.sweep_tessellation, _LOCAL_KINDS),
+        ):
+            violations.extend(f"{key}: {k!r} is not one of {known}" for k in kinds if k not in known)
+        for key, tiles in (("d", (self.d,)), ("sweep_d", self.sweep_d)):
+            violations.extend(f"{key}: tile side must be positive, got {t}" for t in tiles if t < 1)
+        # Every grid size is checked against every kind and tile side the config names.
+        kinds = dict.fromkeys((self.local_kind, self.dispersion_kind, *self.sweep_tessellation))
+        tiles = [tile for tile in dict.fromkeys((self.d, *self.sweep_d)) if tile >= 1]
+        for side, kind, tile in product(sides, kinds, tiles):
+            problem = tiling_problem(side, kind, tile)
+            if problem:
+                violations.append(problem)
+        if self.order not in ("rtl", "ltr"):
+            violations.append(f"order: expected 'rtl' or 'ltr', got {self.order!r}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            violations.append(f"max_iters: must be at least 1, got {self.max_iterations}")
+        if self.snapshot_stride < 0:
+            violations.append(f"snapshot_stride: must be nonnegative, got {self.snapshot_stride}")
+        if self.heatmap_scale < 1:
+            violations.append(f"heatmap_scale: must be a positive integer, got {self.heatmap_scale}")
+        if (self.emit_snapshots or self.emit_heatmaps) and self.snapshot_stride == 0:
+            violations.append("emit_snapshots/emit_heatmaps require snapshot_stride >= 1")
+        if violations:
+            # Sweeps can repeat one divisibility problem; report it once.
+            raise ConfigError(list(dict.fromkeys(violations)))
+
     def sweep_points(self) -> Iterator[tuple[str, Callable[[], RunConfig]]]:
         """Expand the sweep axes into (label, builder) pairs.
 
         A builder may raise (e.g. marked cells that coincide on a swept grid
         size); callers decide whether one bad point aborts the sweep.
         """
-        sides = [int(math.isqrt(n)) for n in self.sweep_n] or [self.side]
+        sides = [_side_of(n) for n in self.sweep_n] or [self.side]
         tile_sides = list(self.sweep_d) or [self.d]
         kinds = list(self.sweep_tessellation) or [self.local_kind]
         placements: "list[tuple[tuple[int, int], ...] | None]" = (
@@ -146,18 +197,12 @@ class ExperimentConfig:
         snapshot_stride: "int | None" = None,
         max_iterations: "int | None" = None,
     ) -> "ExperimentConfig":
-        """Apply command-line overrides, re-validating the result."""
-        updated = self
-        if out_dir is not None:
-            updated = replace(updated, out_dir=out_dir)
-        if order is not None:
-            updated = replace(updated, order=order)
-        if snapshot_stride is not None:
-            updated = replace(updated, snapshot_stride=snapshot_stride)
-        if max_iterations is not None:
-            updated = replace(updated, max_iterations=max_iterations)
-        _validate(updated)
-        return updated
+        """Apply the command-line overrides that are not None; the result is validated."""
+        overrides = dict(
+            out_dir=out_dir, order=order, snapshot_stride=snapshot_stride,
+            max_iterations=max_iterations,
+        )
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _point_label(
@@ -165,6 +210,34 @@ def _point_label(
 ) -> str:
     tag = "+".join(f"{i % side}-{j % side}" for i, j in sorted(cells))
     return f"n{side * side}_d{d}_{kind}_{order}_m{tag}"
+
+
+# Converters: one value's text to its field value, or a ValueError that follows the key's name.
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _items(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(map(_integer, _items(text)))
+
+
+def _pairs(text: str) -> tuple[tuple[int, int], ...]:
+    values = _integers(text)
+    if len(values) % 2:
+        raise ValueError("expected an even-length list of (i, j) pairs")
+    return tuple(zip(values[::2], values[1::2]))
+
+
+def _kind(text: str) -> str:
+    return text.lower().replace("_", "-")
 
 
 _BOOL_WORDS = {
@@ -176,12 +249,35 @@ _BOOL_WORDS = {
     "0": False,
 }
 
-_INT_KEYS = ("L", "n", "d", "max_iters", "snapshot_stride", "heatmap_scale")
-_BOOL_KEYS = ("emit_trace", "emit_snapshots", "emit_heatmaps", "emit_partition")
-_LIST_KEYS = ("marked", "sweep_n", "sweep_d", "sweep_tessellation", "sweep_marked")
-_KNOWN_KEYS = frozenset(
-    (*_INT_KEYS, *_BOOL_KEYS, *_LIST_KEYS, "tessellation", "dispersion", "order", "out")
-)
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected true/false, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+# key -> (ExperimentConfig field, converter).  L and n both set ``side``.
+_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "L": ("side", _integer),
+    "n": ("side", lambda text: _side_of(_integer(text))),
+    "marked": ("marked_cells", lambda text: None if text.lower() == "default" else _pairs(text)),
+    "d": ("d", _integer),
+    "tessellation": ("local_kind", _kind),
+    "dispersion": ("dispersion_kind", _kind),
+    "order": ("order", str),
+    "max_iters": ("max_iterations", _integer),
+    "snapshot_stride": ("snapshot_stride", _integer),
+    "out": ("out_dir", str),
+    "emit_trace": ("emit_trace", _boolean),
+    "emit_snapshots": ("emit_snapshots", _boolean),
+    "emit_heatmaps": ("emit_heatmaps", _boolean),
+    "emit_partition": ("emit_partition", _boolean),
+    "heatmap_scale": ("heatmap_scale", _integer),
+    "sweep_n": ("sweep_n", _integers),
+    "sweep_d": ("sweep_d", _integers),
+    "sweep_tessellation": ("sweep_tessellation", lambda text: tuple(map(_kind, _items(text)))),
+    "sweep_marked": ("sweep_marked", _pairs),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -190,192 +286,34 @@ def parse_config(text: str) -> ExperimentConfig:
     Raises :class:`ConfigError` carrying every violated rule, not only the
     first.
     """
-    raw: dict[str, str] = {}
+    fields: dict[str, object] = {}
+    seen: set[str] = set()
     violations: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        line = line.partition("#")[0].strip()
+        if not line:
             continue
-        if "=" not in stripped:
-            violations.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            violations.append(f"line {lineno}: expected 'key = value', got {line!r}")
+        elif key not in _KEYS:
             violations.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in raw:
+        elif key in seen:
             violations.append(f"line {lineno}: key {key!r} given more than once")
-            continue
-        raw[key] = value
-
-    def take_int(key: str, default: "int | None") -> "int | None":
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            violations.append(f"{key}: expected an integer, got {raw[key]!r}")
-            return default
-
-    def take_bool(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        word = raw[key].lower()
-        if word not in _BOOL_WORDS:
-            violations.append(f"{key}: expected true/false, got {raw[key]!r}")
-            return default
-        return _BOOL_WORDS[word]
-
-    def take_int_list(key: str) -> tuple[int, ...]:
-        if key not in raw:
-            return ()
-        items = [item.strip() for item in raw[key].split(",") if item.strip()]
-        try:
-            return tuple(int(item) for item in items)
-        except ValueError:
-            violations.append(f"{key}: expected comma-separated integers, got {raw[key]!r}")
-            return ()
-
-    side = take_int("L", None)
-    n = take_int("n", None)
-    if side is None and n is None:
-        violations.append("one of 'L' or 'n' is required")
-        side = 0
-    if n is not None:
-        root = math.isqrt(n)
-        if root * root != n or root < 2:
-            violations.append(f"n: {n} is not a perfect square of a side >= 2")
-        elif side is None:
-            side = root
-        elif side != root:
-            violations.append(f"L and n disagree: {side}^2 != {n}")
-    if side is not None and side != 0 and side < 2:
-        violations.append(f"L: side must be at least 2, got {side}")
-
-    marked_cells: "tuple[tuple[int, int], ...] | None" = None
-    if "marked" in raw and raw["marked"].strip().lower() != "default":
-        values = take_int_list("marked")
-        if len(values) % 2 != 0 or not values:
-            violations.append("marked: expected a nonempty even-length list of (i, j) pairs")
         else:
-            marked_cells = tuple(
-                (values[k], values[k + 1]) for k in range(0, len(values), 2)
-            )
-
-    d = take_int("d", DEFAULT_TILE_SIDE)
-    if d is not None and d < 1:
-        violations.append(f"d: tile side must be positive, got {d}")
-
-    local_kind = raw.get("tessellation", KIND_SQUARE).lower().replace("_", "-")
-    if local_kind not in _LOCAL_KINDS:
-        violations.append(f"tessellation: {raw.get('tessellation')!r} is not one of {_LOCAL_KINDS}")
-    dispersion_kind = raw.get("dispersion", KIND_SHIFTED_SQUARE).lower().replace("_", "-")
-    if dispersion_kind not in _DISPERSION_KINDS:
-        violations.append(
-            f"dispersion: {raw.get('dispersion')!r} is not one of {_DISPERSION_KINDS}"
-        )
-
-    order = raw.get("order", DEFAULT_ORDER)
-    if order not in ("rtl", "ltr"):
-        violations.append(f"order: expected 'rtl' or 'ltr', got {order!r}")
-
-    max_iterations = take_int("max_iters", None)
-    snapshot_stride = take_int("snapshot_stride", 0)
-    heatmap_scale = take_int("heatmap_scale", 1)
-
-    sweep_n = take_int_list("sweep_n")
-    sweep_d = take_int_list("sweep_d")
-    sweep_tessellation = tuple(
-        item.strip().lower().replace("_", "-")
-        for item in raw.get("sweep_tessellation", "").split(",")
-        if item.strip()
-    )
-    sweep_marked_values = take_int_list("sweep_marked")
-    if len(sweep_marked_values) % 2 != 0:
-        violations.append("sweep_marked: expected an even-length list of (i, j) pairs")
-        sweep_marked: tuple[tuple[int, int], ...] = ()
-    else:
-        sweep_marked = tuple(
-            (sweep_marked_values[k], sweep_marked_values[k + 1])
-            for k in range(0, len(sweep_marked_values), 2)
-        )
-
-    config = ExperimentConfig(
-        side=side if side else 2,
-        marked_cells=marked_cells,
-        d=d if d else DEFAULT_TILE_SIDE,
-        local_kind=local_kind if local_kind in _LOCAL_KINDS else KIND_SQUARE,
-        dispersion_kind=(
-            dispersion_kind if dispersion_kind in _DISPERSION_KINDS else KIND_SHIFTED_SQUARE
-        ),
-        order=order if order in ("rtl", "ltr") else DEFAULT_ORDER,
-        max_iterations=max_iterations,
-        snapshot_stride=snapshot_stride if snapshot_stride is not None else 0,
-        out_dir=raw.get("out"),
-        emit_trace=take_bool("emit_trace", True),
-        emit_snapshots=take_bool("emit_snapshots", False),
-        emit_heatmaps=take_bool("emit_heatmaps", False),
-        emit_partition=take_bool("emit_partition", False),
-        heatmap_scale=heatmap_scale if heatmap_scale else 1,
-        sweep_n=sweep_n,
-        sweep_d=sweep_d,
-        sweep_tessellation=sweep_tessellation,
-        sweep_marked=sweep_marked,
-    )
-    violations.extend(_collect_violations(config))
+            seen.add(key)
+            field, convert = _KEYS[key]
+            try:
+                parsed = convert(value)
+            except ValueError as exc:
+                violations.append(f"{key}: {exc}")
+                continue
+            if fields.setdefault(field, parsed) != parsed:
+                violations.append(f"L and n disagree: sides {fields[field]} and {parsed}")
+    try:
+        config = ExperimentConfig(side=fields.pop("side", None), **fields)
+    except ConfigError as exc:
+        violations.extend(exc.violations)
     if violations:
         raise ConfigError(violations)
     return config
-
-
-def _collect_violations(config: ExperimentConfig) -> list[str]:
-    violations: list[str] = []
-    sides = [config.side]
-    for n in config.sweep_n:
-        root = math.isqrt(n)
-        if root * root != n or root < 2:
-            violations.append(f"sweep_n: {n} is not a perfect square of a side >= 2")
-        else:
-            sides.append(root)
-    kinds = set(config.sweep_tessellation) | {config.local_kind, config.dispersion_kind}
-    for kind in config.sweep_tessellation:
-        if kind not in _LOCAL_KINDS:
-            violations.append(f"sweep_tessellation: {kind!r} is not one of {_LOCAL_KINDS}")
-    tile_sides = [config.d, *config.sweep_d]
-    for tile in tile_sides:
-        if tile < 1:
-            violations.append(f"sweep_d: tile side must be positive, got {tile}")
-    for side in sides:
-        if side < 2:
-            continue
-        for kind in kinds:
-            if kind not in (*_LOCAL_KINDS, KIND_SHIFTED_SQUARE):
-                continue
-            for tile in tile_sides:
-                if tile < 1:
-                    continue
-                problem = _divisibility_problem(side, kind, tile)
-                if problem:
-                    violations.append(problem)
-    if config.marked_cells is not None and len(config.marked_cells) != len(
-        set((i % config.side, j % config.side) for i, j in config.marked_cells)
-    ):
-        violations.append("marked: cells coincide after wrapping onto the grid")
-    if config.max_iterations is not None and config.max_iterations < 1:
-        violations.append(f"max_iters: must be at least 1, got {config.max_iterations}")
-    if config.snapshot_stride < 0:
-        violations.append(f"snapshot_stride: must be nonnegative, got {config.snapshot_stride}")
-    if config.heatmap_scale < 1:
-        violations.append(f"heatmap_scale: must be a positive integer, got {config.heatmap_scale}")
-    if (config.emit_snapshots or config.emit_heatmaps) and config.snapshot_stride == 0:
-        violations.append("emit_snapshots/emit_heatmaps require snapshot_stride >= 1")
-    # Deduplicate while keeping order: sweeps can repeat one divisibility problem.
-    return list(dict.fromkeys(violations))
-
-
-def _validate(config: ExperimentConfig) -> None:
-    violations = _collect_violations(config)
-    if violations:
-        raise ConfigError(violations)

@@ -62,17 +62,21 @@ def read_trace_csv(path: "str | Path") -> dict[str, np.ndarray]:
     return columns
 
 
-def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
-    """Write one ``i,j,amplitude`` row per cell, row-major, one format pass per grid row."""
-    grid = np.asarray(grid)
+def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | Path") -> Path:
+    """Write ``header``, then one ``i,j,value`` row per cell, row-major, formatting a row at once."""
     cols = range(grid.shape[1])
-    line = "%d,%d,%.17g\r\n" * len(cols)
+    line = f"%d,%d,{value_fmt}\r\n" * len(cols)
     path = Path(path)
     with path.open("w", newline="") as handle:
-        handle.write("i,j,amplitude\r\n")
+        handle.write(header + "\r\n")
         for i, row in enumerate(grid):
             handle.write(line % tuple(chain.from_iterable(zip(repeat(i), cols, row.tolist()))))
     return path
+
+
+def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
+    """Write one ``i,j,amplitude`` row per cell, row-major."""
+    return _emit_cell_csv(np.asarray(grid), "i,j,amplitude", "%.17g", path)
 
 
 def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
@@ -81,13 +85,7 @@ def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
     # Cells outside every group read -1.
     ids = np.full(geometry.cell_count, -1, dtype=np.intp)
     ids[partition.cells] = np.repeat(np.arange(partition.group_count), np.diff(partition.offsets))
-    rows, cols = np.divmod(np.arange(geometry.cell_count), geometry.side)
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "group"])
-        writer.writerows(zip(rows.tolist(), cols.tolist(), ids.tolist()))
-    return path
+    return _emit_cell_csv(ids.reshape(geometry.side, geometry.side), "i,j,group", "%d", path)
 
 
 # Ten bin colors, darkest (most negative amplitude) to brightest.  Bin 4 is a

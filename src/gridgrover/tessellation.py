@@ -42,6 +42,7 @@ __all__ = [
     "four_corners_partition",
     "shifted_square_partition",
     "square_partition",
+    "tiling_problem",
     "translate_partition",
     "validate_partition",
 ]
@@ -146,22 +147,32 @@ def validate_partition(partition: Partition) -> PartitionReport:
     return PartitionReport(ok=ok, duplicated=duplicated, missing=missing, empty_groups=empty)
 
 
-def _require_divides(d: int, side: int, what: str) -> None:
-    if d < 1:
-        raise ValueError(f"tile parameter must be positive, got {d}")
-    if side % d != 0:
-        raise ValueError(f"{what} requires {d} | {side}, but {d} does not divide {side}")
+def tiling_problem(side: int, kind: str, d: int) -> "str | None":
+    """Why tiles of ``kind`` with parameter ``d`` cannot cover an L = ``side`` torus, or None.
+
+    Square and shifted-square tiles need d | L, four-corners quadruples
+    2d | L, and crosses 5 | L (they ignore d).  Other kinds have no rule here.
+    """
+    if kind == KIND_CROSS:
+        rule, period = "5 | L", 5
+    elif kind not in (KIND_SQUARE, KIND_SHIFTED_SQUARE, KIND_FOUR_CORNERS):
+        return None
+    elif d < 1:
+        return f"{kind} tessellation needs a positive tile side, got d = {d}"
+    else:
+        rule, period = ("2d | L", 2 * d) if kind == KIND_FOUR_CORNERS else ("d | L", d)
+    if side % period:
+        return f"{kind} tessellation needs {rule}: {period} does not divide {side}"
+    return None
 
 
 def square_partition(geometry: GridGeometry, d: int) -> Partition:
     """Axis-aligned d x d tiles; requires d | side."""
-    _require_divides(d, geometry.side, "square tiling")
     return _block_partition(geometry, d, shift=0, kind=KIND_SQUARE)
 
 
 def shifted_square_partition(geometry: GridGeometry, d: int) -> Partition:
     """d x d tiles with origins moved by floor(d/2) in both axes, wrapping."""
-    _require_divides(d, geometry.side, "shifted square tiling")
     return _block_partition(geometry, d, shift=d // 2, kind=KIND_SHIFTED_SQUARE)
 
 
@@ -178,6 +189,8 @@ def _uniform_partition(geometry: GridGeometry, cells: np.ndarray, size: int, **f
 
 
 def _block_partition(geometry: GridGeometry, d: int, shift: int, kind: str) -> Partition:
+    if problem := tiling_problem(geometry.side, kind, d):
+        raise ValueError(problem)
     # Tile (bi, bj) holds rows d*bi + x + shift and cols d*bj + y + shift, x and y in [0, d).
     side = geometry.side
     lines = (d * np.arange(side // d)[:, None] + np.arange(d) + shift) % side
@@ -195,9 +208,9 @@ def cross_partition(geometry: GridGeometry) -> Partition:
     (2, 1) apart.  Groups come in row-major order of their centers, and each
     lists its center first, then the neighbors above, below, left and right.
     """
+    if problem := tiling_problem(geometry.side, KIND_CROSS, 0):
+        raise ValueError(problem)
     side = geometry.side
-    if side % 5 != 0:
-        raise ValueError(f"cross tiling requires 5 | {side}, but 5 does not divide {side}")
     # In row i the centers are the columns j = 2i (mod 5).
     i = np.arange(side)[:, None]
     j = 2 * i % 5 + 5 * np.arange(side // 5)
@@ -208,10 +221,9 @@ def cross_partition(geometry: GridGeometry) -> Partition:
 
 def four_corners_partition(geometry: GridGeometry, d: int) -> Partition:
     """Corner quadruples {(a,b) + (x,y) : x,y in {0,d}}; requires 2d | side."""
-    if d < 1:
-        raise ValueError(f"tile parameter must be positive, got {d}")
+    if problem := tiling_problem(geometry.side, KIND_FOUR_CORNERS, d):
+        raise ValueError(problem)
     side = geometry.side
-    _require_divides(2 * d, side, "four-corners tiling")
     # Group (bi, bj, a, b) holds rows 2d*bi + a + x and cols 2d*bj + b + y, x and y in {0, d}.
     lines = 2 * d * np.arange(side // (2 * d))[:, None, None] + np.arange(d)[:, None] + [0, d]
     return _uniform_partition(

@@ -1,7 +1,15 @@
-import pytest
+import dataclasses
+import re
+from pathlib import Path
 
-from gridgrover import ConfigError, GridGeometry, make_partition, parse_config
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_config
+from gridgrover import ConfigError, GridGeometry, config, make_partition, parse_config
 from gridgrover.tessellation import KIND_CROSS, KIND_SHIFTED_SQUARE, KIND_SQUARE
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_minimal_config_fills_defaults():
@@ -137,3 +145,150 @@ def test_garbled_line_reported_with_number():
     with pytest.raises(ConfigError) as err:
         parse_config("L = 8\nthis is not a pair\n")
     assert any(v.startswith("line 2:") for v in err.value.violations)
+
+
+@pytest.mark.parametrize(
+    "text,violations",
+    [
+        ("L = 0\nd = 2\n", ["L: side must be at least 2, got 0"]),
+        ("L = 0\n", ["L: side must be at least 2, got 0"]),
+        ("d = 4\n", ["one of 'L' or 'n' is required"]),
+        ("L = 8\nheatmap_scale = 0\n", ["heatmap_scale: must be a positive integer, got 0"]),
+    ],
+)
+def test_invalid_values_are_reported_not_replaced(text, violations):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert list(err.value.violations) == violations
+
+
+def test_negative_sizes_are_config_errors():
+    with pytest.raises(ConfigError) as err:
+        parse_config("n = -4\n")
+    assert err.value.violations[0] == "n: -4 is not a perfect square of a side >= 2"
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 4\nsweep_n = -16\n")
+    assert list(err.value.violations) == ["sweep_n: -16 is not a perfect square of a side >= 2"]
+
+
+def test_comments_may_follow_values():
+    config = parse_config("L = 8  # the side\nmarked = 1,2 # one cell\n")
+    assert (config.side, config.marked_cells) == (8, ((1, 2),))
+
+
+def test_readme_example_config_parses():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    config = parse_config(block)
+    assert (config.side, config.sweep_n, config.sweep_tessellation) == (
+        20, (400, 1600), (KIND_SQUARE, KIND_CROSS)
+    )
+    assert len(list(config.sweep_points())) == 16
+
+
+def test_docstring_lists_every_key():
+    listing = config.__doc__.split("Keys::")[1].split("\n\n")[1]
+    documented = {
+        key
+        for line in listing.splitlines()
+        if line[4:5].strip()
+        for key in line.strip().split("  ")[0].split(" / ")
+    }
+    assert documented == set(config._KEYS)
+
+
+def test_with_overrides_and_replace_validate():
+    base = parse_config("L = 8\n")
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(base, side=10)
+    assert list(err.value.violations) == [
+        "square tessellation needs d | L: 4 does not divide 10",
+        "shifted-square tessellation needs d | L: 4 does not divide 10",
+    ]
+    with pytest.raises(ConfigError) as err:
+        base.with_overrides(order="diagonal", max_iterations=0)
+    assert len(err.value.violations) == 2
+
+
+_WORDS = (
+    "square", "cross", "four-corners", "four_corners", "shifted-square", "Square", "hexagon",
+    "ltr", "rtl", "true", "false", "yes", "no", "1", "0", "default", "results", "",
+)
+_SIZE_KEYS = ("L", "n", "sweep_n")
+
+
+def _integer_lists(values):
+    return st.lists(values, max_size=5).map(lambda items: ",".join(map(str, items)))
+
+
+def _values(integers):
+    return st.one_of(
+        integers.map(str),
+        st.sampled_from((4, 16, 64, 100, 400, 1600)).map(str),
+        st.sampled_from(_WORDS),
+        _integer_lists(integers),
+        st.lists(st.sampled_from(_WORDS), max_size=4).map(",".join),
+    )
+
+
+def _lines(values, stray):
+    keyed = st.tuples(st.sampled_from(sorted(config._KEYS)), values)
+    # Kind lines are drawn on their own too, so every tiling rule is met often.
+    kinds = st.tuples(
+        st.sampled_from(("tessellation", "dispersion", "sweep_tessellation")),
+        st.sampled_from(_WORDS[:6]),
+    )
+    return st.one_of(keyed, keyed, kinds, keyed).map(lambda kv: f"{kv[0]} = {kv[1]}") | stray
+
+
+def _texts(lines):
+    return st.tuples(st.sampled_from(("L = 20", "n = 400", "L = 8", "L = 40", "")),
+                     st.lists(lines, max_size=6)).map(lambda t: "\n".join((t[0], *t[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(_lines(
+    _values(st.integers(-20, 10**6)) | st.text(alphabet="0123456789-=#, abc", max_size=12),
+    st.sampled_from(("=", "# note", "L", "= 4", "wibble = 1", "n = 16 = 4", "#", " = # = ")),
+)))
+@example("n = -4\n")
+@example("L = 4\nsweep_n = -16\n")
+def test_parse_config_raises_only_config_errors(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+def _outside_known_faults(text):
+    """No ``#``, no L = 0, no heatmap_scale = 0 and no negative size: the old parser's faults."""
+    for line in text.splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        items = [item.strip() for item in value.split(",")]
+        numbers = [int(item) for item in items if re.fullmatch(r"-?\d+", item)]
+        if key in ("L", "heatmap_scale") and value == "0":
+            return False
+        if key in _SIZE_KEYS and any(number < 0 for number in numbers):
+            return False
+    return "#" not in text
+
+
+def _outcome(parse, text):
+    try:
+        return dataclasses.asdict(parse(text))
+    except (ConfigError, reference_config.ConfigError):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_lines(
+    _values(st.integers(-8, 64)),
+    st.sampled_from(("garbage", "wibble = 1", "= 4", "n = 16 = 4")),
+)).filter(_outside_known_faults))
+@example("L = 20\ntessellation = cross\nsweep_d = 5,10")
+@example("n = 400\nL = 20\nmarked = 1,2,21,22")
+@example("L = 40\ntessellation = four_corners\nd = 4\nsweep_n = 1600,6400")
+@example("L = 20\ntessellation = four-corners")
+@example("L = 8\ndispersion = cross\nsweep_d = 2")
+@example("L = 20\nd = 3\ntessellation = cross")
+def test_parser_matches_the_previous_parser(text):
+    assert _outcome(parse_config, text) == _outcome(reference_config.parse_config, text)

@@ -366,3 +366,28 @@ def test_oracle_indices_are_built_once_per_geometry():
     assert marked.indices(g) is idx
     assert marked.indices(GridGeometry(4)).tolist() == [5, 15]
     assert marked.indices(g) is idx
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=6, unique=True
+    ),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example(4, [(0, 0), (4, -4)], 0)  # the same cell after wrapping
+@example(12, [(-1, 12), (11, 0), (5, 5)], 1)
+def test_oracle_matches_dense_matrix_on_unwrapped_marked_sets(side, cells, seed):
+    g = GridGeometry(side)
+    state = random_state(g, seed)
+    # Separate MarkedSets, so neither path reads flat indices the other cached.
+    spec, dense_spec = OracleSpec(MarkedSet.of(*cells)), OracleSpec(MarkedSet.of(*cells))
+    if len({(i % side, j % side) for i, j in cells}) < len(cells):
+        with pytest.raises(ValueError):
+            apply_oracle(state, spec)
+        with pytest.raises(ValueError):
+            materialize_dense(dense_spec, g)
+        return
+    expected = materialize_dense(dense_spec, g) @ state.amplitudes
+    np.testing.assert_array_equal(apply_oracle(state, spec).amplitudes, expected)
