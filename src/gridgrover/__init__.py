@@ -60,7 +60,6 @@ from .outputs import (
 from .simulator import (
     CostCounters,
     RunConfig,
-    Schedule,
     SimulationTrace,
     default_horizon,
     default_marked_cell,

@@ -17,16 +17,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, make_partition, parse_config
-from .experiments import TABLE_SIZES, run_experiment, table_report
-from .grid import GridGeometry, cell_index
-from .outputs import (
-    HeatmapStyle,
-    emit_heatmap,
-    emit_partition_csv,
-    emit_snapshot_csv,
-    emit_trace_csv,
-)
-from .simulator import default_horizon, default_marked_cell, run_grover_reference
+from .experiments import TABLE_SIZES, run_experiment, table_report, write_point_artifacts
+from .grid import GridGeometry
+from .outputs import emit_partition_csv
+from .simulator import run_grover_reference
 from .tessellation import validate_partition
 
 __all__ = ["main"]
@@ -45,8 +39,12 @@ def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool) ->
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    text = args.config.read_text()
-    config = parse_config(text)
+    config = parse_config(args.config.read_text())
+    if args.command != "sweep":
+        # Every other command executes the base point alone.
+        config = dataclasses.replace(
+            config, sweep_n=(), sweep_d=(), sweep_tessellation=(), sweep_marked=()
+        )
     return config.with_overrides(
         out_dir=str(args.out) if args.out is not None else None,
         order=args.order,
@@ -56,13 +54,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if args.command == "run":
-        # run executes the base point only; sweep expands the sweep lists
-        config = dataclasses.replace(
-            config, sweep_n=(), sweep_d=(), sweep_tessellation=(), sweep_marked=()
-        )
-    report = run_experiment(config)
+    report = run_experiment(_load_config(args))
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -78,33 +70,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_grover(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    geometry = GridGeometry(config.side)
-    n = geometry.cell_count
-    cells = config.marked_cells
-    if cells is None:
-        cells = (tuple(default_marked_cell(geometry)),)
-    indices = sorted(cell_index(geometry, c) for c in cells)
-    iterations = config.max_iterations or default_horizon(geometry)
+    # The grid run's config resolves the marked cells, horizon and snapshot stride.
+    ((_label, build),) = config.sweep_points()
+    point = build()
+    indices = point.marked.indices(point.geometry)
+    n = point.geometry.cell_count
     trace = run_grover_reference(
-        n,
-        len(indices),
-        iterations,
-        marked_indices=indices,
-        snapshot_stride=config.snapshot_stride,
+        n, indices.size, point.max_iterations, marked_indices=indices,
+        snapshot_stride=point.snapshot_stride,
     )
     peak = trace.peak
     sys.stdout.write(
-        f"grover reference: n={n} marked={len(indices)} "
+        f"grover reference: n={n} marked={indices.size} "
         f"peak probability {peak.probability:.6f} at round {peak.iteration}\n"
     )
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        emit_trace_csv(trace, args.out / "grover_trace.csv")
-        style = HeatmapStyle(scale=config.heatmap_scale)
-        for iteration, grid in sorted(trace.snapshots.items()):
-            emit_snapshot_csv(grid, args.out / f"grover_snapshot_iter{iteration:05d}.csv")
-            if config.emit_heatmaps:
-                emit_heatmap(grid, style, args.out / f"grover_heatmap_iter{iteration:05d}.ppm")
+    if config.out_dir is not None:
+        write_point_artifacts(config, trace, Path(config.out_dir), prefix="grover_")
     return 0
 
 

@@ -36,6 +36,7 @@ so ``with_overrides`` and ``dataclasses.replace`` results are validated too.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterator
@@ -115,10 +116,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         violations: list[str] = []
-        sides = [self.side] if self.side is not None and self.side >= 2 else []
         if self.side is None:  # the text gave neither L nor n
             violations.append("one of 'L' or 'n' is required")
-        elif not sides:
+        elif self.side < 2:
             violations.append(f"L: side must be at least 2, got {self.side}")
         elif self.marked_cells and len(self.marked_cells) != len(
             {(i % self.side, j % self.side) for i, j in self.marked_cells}
@@ -128,7 +128,7 @@ class ExperimentConfig:
             violations.append("marked: expected at least one (i, j) pair")
         for n in self.sweep_n:
             try:
-                sides.append(_side_of(n))
+                _side_of(n)
             except ValueError as exc:
                 violations.append(f"sweep_n: {exc}")
         for key, kinds, known in (
@@ -139,13 +139,12 @@ class ExperimentConfig:
             violations.extend(f"{key}: {k!r} is not one of {known}" for k in kinds if k not in known)
         for key, tiles in (("d", (self.d,)), ("sweep_d", self.sweep_d)):
             violations.extend(f"{key}: tile side must be positive, got {t}" for t in tiles if t < 1)
-        # Every grid size is checked against every kind and tile side the config names.
-        kinds = dict.fromkeys((self.local_kind, self.dispersion_kind, *self.sweep_tessellation))
-        tiles = [tile for tile in dict.fromkeys((self.d, *self.sweep_d)) if tile >= 1]
-        for side, kind, tile in product(sides, kinds, tiles):
-            problem = tiling_problem(side, kind, tile)
-            if problem:
-                violations.append(problem)
+        # Only the (side, kind, tile side) combinations that sweep_points runs must tile.
+        sides, tiles, kinds = self._axes()
+        for side, kind, tile in product(sides, (*kinds, self.dispersion_kind), tiles):
+            if side is not None and side >= 2 and tile >= 1:
+                if problem := tiling_problem(side, kind, tile):
+                    violations.append(problem)
         if self.order not in ("rtl", "ltr"):
             violations.append(f"order: expected 'rtl' or 'ltr', got {self.order!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -160,15 +159,22 @@ class ExperimentConfig:
             # Sweeps can repeat one divisibility problem; report it once.
             raise ConfigError(list(dict.fromkeys(violations)))
 
+    def _axes(self) -> "tuple[list[int], list[int], list[str]]":
+        """Grid sides, tile sides and local kinds ``sweep_points`` crosses; bad sizes are skipped."""
+        sides = []
+        for n in self.sweep_n:
+            with suppress(ValueError):
+                sides.append(_side_of(n))
+        tiles = list(self.sweep_d) or [self.d]
+        return sides or [self.side], tiles, list(self.sweep_tessellation) or [self.local_kind]
+
     def sweep_points(self) -> Iterator[tuple[str, Callable[[], RunConfig]]]:
         """Expand the sweep axes into (label, builder) pairs.
 
         A builder may raise (e.g. marked cells that coincide on a swept grid
         size); callers decide whether one bad point aborts the sweep.
         """
-        sides = [_side_of(n) for n in self.sweep_n] or [self.side]
-        tile_sides = list(self.sweep_d) or [self.d]
-        kinds = list(self.sweep_tessellation) or [self.local_kind]
+        sides, tile_sides, kinds = self._axes()
         placements: "list[tuple[tuple[int, int], ...] | None]" = (
             [(cell,) for cell in self.sweep_marked] if self.sweep_marked else [self.marked_cells]
         )

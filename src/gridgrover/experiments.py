@@ -38,6 +38,7 @@ __all__ = [
     "reference_peak",
     "run_experiment",
     "table_report",
+    "write_point_artifacts",
 ]
 
 # Reference peak amplitude and iteration count per grid size for the d=4
@@ -110,20 +111,22 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _write_point_artifacts(
-    config: ExperimentConfig, run_config: RunConfig, trace: SimulationTrace, point_dir: Path
+def write_point_artifacts(
+    config: ExperimentConfig, trace: SimulationTrace, point_dir: Path,
+    run_config: "RunConfig | None" = None, prefix: str = "",
 ) -> None:
+    """Write the files the emit flags ask for; partition CSVs need the ``run_config``."""
     point_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_trace:
-        emit_trace_csv(trace, point_dir / "trace.csv")
+        emit_trace_csv(trace, point_dir / f"{prefix}trace.csv")
     if config.emit_snapshots:
         for iteration, grid in sorted(trace.snapshots.items()):
-            emit_snapshot_csv(grid, point_dir / f"snapshot_iter{iteration:05d}.csv")
+            emit_snapshot_csv(grid, point_dir / f"{prefix}snapshot_iter{iteration:05d}.csv")
     if config.emit_heatmaps:
         style = HeatmapStyle(scale=config.heatmap_scale)
         for iteration, grid in sorted(trace.snapshots.items()):
-            emit_heatmap(grid, style, point_dir / f"heatmap_iter{iteration:05d}.ppm")
-    if config.emit_partition:
+            emit_heatmap(grid, style, point_dir / f"{prefix}heatmap_iter{iteration:05d}.ppm")
+    if config.emit_partition and run_config is not None:
         emit_partition_csv(run_config.local_partition, point_dir / "partition_local.csv")
         emit_partition_csv(
             run_config.dispersion_partition, point_dir / "partition_dispersion.csv"
@@ -144,7 +147,7 @@ def run_experiment(config: ExperimentConfig, out_dir: "str | Path | None" = None
             continue
         report.points.append(PointResult(label=label, trace=trace))
         if base is not None:
-            _write_point_artifacts(config, run_config, trace, base / label)
+            write_point_artifacts(config, trace, base / label, run_config)
     if base is not None:
         base.mkdir(parents=True, exist_ok=True)
         (base / "report.txt").write_text(report.render())
@@ -213,10 +216,9 @@ def table_report(
     base = Path(out_dir) if out_dir is not None else None
     report = TableReport(out_dir=base)
     for n in sizes:
-        side = math.isqrt(n)
-        if side * side != n:
-            raise ValueError(f"table sizes must be perfect squares, got {n}")
+        # Every reference row is a perfect square; sizes without a row raise here.
         reference_amplitude, reference_iterations = reference_peak(n)
+        side = math.isqrt(n)
         for order in orders:
             config = RunConfig(
                 GridGeometry(side), order=order, max_iterations=max_iterations

@@ -163,9 +163,9 @@ class GridState:
 
 
 def uniform_state(geometry: GridGeometry) -> GridState:
-    """The equal superposition: every amplitude 1/sqrt(n)."""
+    """The equal superposition 1/sqrt(n), copied once by the state from a broadcast view."""
     n = geometry.cell_count
-    return GridState(geometry, np.full(n, 1.0 / np.sqrt(n)))
+    return GridState(geometry, np.broadcast_to(1.0 / np.sqrt(n), n))
 
 
 def basis_state(geometry: GridGeometry, cell: tuple[int, int]) -> GridState:

@@ -69,29 +69,15 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Reflection about the group superpositions of a validated partition."""
+    """Reflection about the group superpositions of a partition; explicit groups are checked."""
 
     partition: Partition
 
     def __post_init__(self) -> None:
-        report = validate_partition(self.partition)
-        if not report.ok:
-            raise InvalidPartitionError(report.summary())
-        if self.partition.tile_side is not None:
-            _require_tiles(self.partition)
-
-
-def _require_tiles(partition: Partition) -> None:
-    """The tile fast path is exact only if every group is one tile of the lattice."""
-    d, (si, sj) = partition.tile_side, partition.tile_shift
-    side = partition.geometry.side
-    if d >= 1 and side % d == 0 and np.all(np.diff(partition.offsets) == d * d):
-        lines = np.arange(side)
-        tile_of = ((lines - si) % side // d)[:, None] * side + (lines - sj) % side // d
-        tiles = tile_of.reshape(-1)[partition.cells].reshape(-1, d * d)
-        if np.all(tiles == tiles[:, :1]):
-            return
-    raise InvalidPartitionError(f"groups are not the {d} x {d} tiles shifted by {(si, sj)}")
+        if self.partition.tile_side is None:
+            report = validate_partition(self.partition)
+            if not report.ok:
+                raise InvalidPartitionError(report.summary())
 
 
 def apply_oracle(state: GridState, spec: OracleSpec) -> GridState:

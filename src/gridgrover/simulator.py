@@ -48,7 +48,6 @@ __all__ = [
     "STEP_ORACLE",
     "CostCounters",
     "RunConfig",
-    "Schedule",
     "SimulationTrace",
     "default_horizon",
     "default_marked_cell",
@@ -60,7 +59,6 @@ __all__ = [
 STEP_ORACLE = "oracle"
 STEP_LOCAL = "local_diffusion"
 STEP_DISPERSION = "dispersion"
-_KNOWN_STEPS = (STEP_ORACLE, STEP_LOCAL, STEP_DISPERSION)
 # The two readings of the four-operator round.
 _ORDERS = {
     "ltr": (STEP_ORACLE, STEP_LOCAL, STEP_ORACLE, STEP_DISPERSION),
@@ -70,26 +68,6 @@ _ORDERS = {
 DEFAULT_TILE_SIDE = 4
 # Fixed by calibration against the reference peak series; see experiments.py.
 DEFAULT_ORDER = "ltr"
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered operator names applied once per round."""
-
-    steps: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("schedule must contain at least one step")
-        unknown = [s for s in self.steps if s not in _KNOWN_STEPS]
-        if unknown:
-            raise ValueError(f"unknown schedule steps {unknown}; expected {_KNOWN_STEPS}")
-
-    @classmethod
-    def from_order(cls, order: str) -> "Schedule":
-        if order not in _ORDERS:
-            raise ValueError(f"order must be 'rtl' or 'ltr', got {order!r}")
-        return cls(_ORDERS[order])
 
 
 def default_marked_cell(geometry: GridGeometry) -> Coord:
@@ -108,7 +86,7 @@ class RunConfig:
 
     Unset fields fall back to the calibrated defaults: square / shifted
     square d=4 partitions, marked cell just off grid center, ltr order and a
-    4*sqrt(n) horizon.  ``schedule`` overrides ``order`` when given.
+    4*sqrt(n) horizon.  ``order`` names the reading of the round; ``steps`` lists it.
     """
 
     geometry: GridGeometry
@@ -116,7 +94,6 @@ class RunConfig:
     local_partition: Partition | None = None
     dispersion_partition: Partition | None = None
     order: str = DEFAULT_ORDER
-    schedule: Schedule | None = None
     max_iterations: int | None = None
     snapshot_stride: int = 0
 
@@ -133,8 +110,8 @@ class RunConfig:
                 "dispersion_partition",
                 shifted_square_partition(self.geometry, DEFAULT_TILE_SIDE),
             )
-        if self.schedule is None:
-            object.__setattr__(self, "schedule", Schedule.from_order(self.order))
+        if self.order not in _ORDERS:
+            raise ValueError(f"order must be 'rtl' or 'ltr', got {self.order!r}")
         if self.max_iterations is None:
             object.__setattr__(self, "max_iterations", default_horizon(self.geometry))
         for role, partition in (
@@ -151,6 +128,11 @@ class RunConfig:
         self.marked.normalized(self.geometry)
 
     @property
+    def steps(self) -> tuple[str, ...]:
+        """The operators of one round, in the order they are applied."""
+        return _ORDERS[self.order]
+
+    @property
     def steps_per_iteration(self) -> int:
         """Nominal walk steps charged per round."""
         cost = {
@@ -158,7 +140,7 @@ class RunConfig:
             STEP_LOCAL: self.local_partition.step_cost,
             STEP_DISPERSION: self.dispersion_partition.step_cost,
         }
-        return sum(cost[step] for step in self.schedule.steps)
+        return sum(cost[step] for step in self.steps)
 
 
 @dataclass
@@ -252,13 +234,13 @@ def run(config: RunConfig) -> SimulationTrace:
         STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
         STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
     }
-    steps = [operators[step] for step in config.schedule.steps]
+    steps = [operators[step] for step in config.steps]
 
     def apply_round(state: GridState) -> None:
         for apply, spec in steps:
             apply(state, spec)
 
-    oracles = config.schedule.steps.count(STEP_ORACLE)
+    oracles = config.steps.count(STEP_ORACLE)
     per_round = CostCounters(oracles, len(steps) - oracles, config.steps_per_iteration)
     return _iterate(
         config.geometry, config.marked, apply_round, config.max_iterations,

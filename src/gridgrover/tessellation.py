@@ -15,13 +15,14 @@ unitary.  Four generators are provided:
   inside 2d-periodic blocks.
 
 Hand-built groups are supported through ``custom_partition`` (used by test
-fixtures).  A partition is stored as flat cell offsets plus group bounds, built
-with numpy broadcasting; per-cell ``Coord`` tuples exist only on request.
+fixtures).  Square and shifted-square partitions are their tile lattice (d,
+shift) alone; the others are flat cell offsets plus group bounds, built with
+numpy broadcasting.  Per-cell ``Coord`` tuples exist only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,22 +66,46 @@ class Partition:
     Group g is ``cells[offsets[g]:offsets[g + 1]]``: row-major flat offsets in
     ``intp`` arrays.  Its ``Coord`` tuples in ``groups`` are built on first use.
 
+    A tile partition is its lattice alone: d x d tiles, d = ``tile_side``, with
+    an origin at ``tile_shift`` (aligned iff that is (0, 0)).  It covers the
+    grid once d | L and derives ``cells`` and ``offsets`` only when read.
+    Other partitions hold them as explicit ``arrays`` = (cells, offsets).
+
     ``step_cost`` is the nominal walk-step charge for one application of the
     group diffusion (tile side for squares and corners, 1 for crosses, since
     every cross cell is one hop from its center).
-
-    ``tile_side``/``tile_shift`` record block structure when the groups are
-    d x d tiles on a (possibly shifted) lattice; the diffusion kernel uses
-    them to take a reshape-based fast path.
     """
 
     geometry: GridGeometry
-    cells: np.ndarray
-    offsets: np.ndarray
     kind: str = KIND_CUSTOM
     step_cost: int = 1
     tile_side: int | None = None
     tile_shift: tuple[int, int] = (0, 0)
+    arrays: "tuple[np.ndarray, np.ndarray] | None" = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if (self.tile_side is None) == (self.arrays is None):
+            raise ValueError("a partition is a tile lattice or explicit (cells, offsets) arrays")
+        if self.tile_side is not None:
+            kind = KIND_SHIFTED_SQUARE if self.kind == KIND_SHIFTED_SQUARE else KIND_SQUARE
+            if problem := tiling_problem(self.geometry.side, kind, self.tile_side):
+                raise ValueError(problem)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        if self.arrays is not None:
+            return self.arrays[0]
+        # Tile (bi, bj) holds rows d*bi + x + si and cols d*bj + y + sj, x and y in [0, d).
+        d, side = self.tile_side, self.geometry.side
+        lines = d * np.arange(side // d)[:, None] + np.arange(d)
+        si, sj = self.tile_shift
+        return _interleave((lines + si) % side, (lines + sj) % side, side)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        if self.arrays is not None:
+            return self.arrays[1]
+        return np.arange(0, self.geometry.cell_count + 1, self.tile_side ** 2, dtype=np.intp)
 
     @property
     def group_count(self) -> int:
@@ -168,12 +193,12 @@ def tiling_problem(side: int, kind: str, d: int) -> "str | None":
 
 def square_partition(geometry: GridGeometry, d: int) -> Partition:
     """Axis-aligned d x d tiles; requires d | side."""
-    return _block_partition(geometry, d, shift=0, kind=KIND_SQUARE)
+    return Partition(geometry, KIND_SQUARE, d, tile_side=d)
 
 
 def shifted_square_partition(geometry: GridGeometry, d: int) -> Partition:
     """d x d tiles with origins moved by floor(d/2) in both axes, wrapping."""
-    return _block_partition(geometry, d, shift=d // 2, kind=KIND_SHIFTED_SQUARE)
+    return Partition(geometry, KIND_SHIFTED_SQUARE, d, tile_side=d, tile_shift=(d // 2, d // 2))
 
 
 def _interleave(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
@@ -185,19 +210,8 @@ def _interleave(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
 
 def _uniform_partition(geometry: GridGeometry, cells: np.ndarray, size: int, **fields) -> Partition:
     """Partition whose groups are consecutive runs of ``size`` cells."""
-    return Partition(geometry, cells, np.arange(0, cells.size + 1, size, dtype=np.intp), **fields)
-
-
-def _block_partition(geometry: GridGeometry, d: int, shift: int, kind: str) -> Partition:
-    if problem := tiling_problem(geometry.side, kind, d):
-        raise ValueError(problem)
-    # Tile (bi, bj) holds rows d*bi + x + shift and cols d*bj + y + shift, x and y in [0, d).
-    side = geometry.side
-    lines = (d * np.arange(side // d)[:, None] + np.arange(d) + shift) % side
-    return _uniform_partition(
-        geometry, _interleave(lines, lines, side), d * d,
-        kind=kind, step_cost=d, tile_side=d, tile_shift=(shift, shift),
-    )
+    offsets = np.arange(0, cells.size + 1, size, dtype=np.intp)
+    return Partition(geometry, arrays=(cells, offsets), **fields)
 
 
 def cross_partition(geometry: GridGeometry) -> Partition:
@@ -239,17 +253,16 @@ def custom_partition(
     """Wrap hand-built groups; cells wrap onto the grid, validity is not checked."""
     cells = [cell_index(geometry, cell) for group in groups for cell in group]
     offsets = np.cumsum([0, *map(len, groups)], dtype=np.intp)
-    return Partition(geometry, np.array(cells, dtype=np.intp), offsets, step_cost=step_cost)
+    return Partition(geometry, step_cost=step_cost, arrays=(np.array(cells, dtype=np.intp), offsets))
 
 
 def translate_partition(partition: Partition, offset: tuple[int, int]) -> Partition:
-    """Shift every cell by a fixed offset; tiling survives torus translation."""
+    """Shift every cell by a fixed offset; a tile lattice moves its origin, kept modulo L."""
     di, dj = offset
-    side, d = partition.geometry.side, partition.tile_side
+    side = partition.geometry.side
+    if partition.tile_side is not None:
+        si, sj = partition.tile_shift
+        return replace(partition, tile_shift=((si + di) % side, (sj + dj) % side))
     rows, cols = np.divmod(partition.cells, side)
-    si, sj = partition.tile_shift
-    return replace(
-        partition,
-        cells=(rows + di) % side * side + (cols + dj) % side,
-        tile_shift=(0, 0) if d is None else ((si + di) % d, (sj + dj) % d),
-    )
+    cells = (rows + di) % side * side + (cols + dj) % side
+    return replace(partition, arrays=(cells, partition.offsets))

@@ -32,7 +32,6 @@ from gridgrover import (
     table_report,
     uniform_state,
 )
-from gridgrover.simulator import Schedule
 from test_tessellation import all_legal_partitions
 from gridgrover.tessellation import validate_partition
 
@@ -211,7 +210,7 @@ def test_criterion_6c_dense_trace_equivalence():
         }
         psi = uniform_state(g).amplitudes
         for k in range(1, config.max_iterations + 1):
-            for step in config.schedule.steps:
+            for step in config.steps:
                 psi = matrices[step] @ psi
             worst = max(worst, float(np.max(np.abs(psi.reshape(side, side) - trace.snapshots[k]))))
     report("6c dense trace equivalence", worst <= 1e-10, f"max state deviation {worst:.2e} (tol 1e-10)")
@@ -235,7 +234,7 @@ def test_criterion_6d_norm_preservation_large_run():
     started = time.perf_counter()
     worst = abs(state.norm_squared - 1.0)
     for _ in range(config.max_iterations):
-        for step in config.schedule.steps:
+        for step in config.steps:
             apply[step](state)
         worst = max(worst, abs(state.norm_squared - 1.0))
     elapsed = time.perf_counter() - started
@@ -298,4 +297,4 @@ def test_schedule_toggles_are_both_reported(table):
     # criterion 1 rider: both order toggles appear in the table report
     orders = {row.order for row in table.rows}
     assert orders == {"ltr", "rtl"}
-    assert Schedule.from_order("rtl").steps[0] == "dispersion"
+    assert RunConfig(GridGeometry(8), order="rtl").steps[0] == "dispersion"

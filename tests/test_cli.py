@@ -106,6 +106,27 @@ def test_grover_subcommand(tmp_path, capsys):
     assert np.max(np.abs(trace["marked_probability"] - expected)) <= 1e-9
 
 
+def test_grover_honours_the_emit_flags(tmp_path):
+    base = "L = 8\nmax_iters = 6\nsnapshot_stride = 2\n"
+    quiet = write_config(tmp_path, base + "emit_trace = false\nemit_snapshots = false\n")
+    for command in ("run", "grover"):
+        out = tmp_path / f"quiet_{command}"
+        assert main([command, "--config", str(quiet), "--out", str(out)]) == 0
+        assert not [p.name for p in out.rglob("*.csv")], command
+
+    loud = write_config(
+        tmp_path, base + "emit_snapshots = true\nemit_heatmaps = true\nemit_partition = true\n"
+    )
+    out = tmp_path / "loud"
+    assert main(["grover", "--config", str(loud), "--out", str(out)]) == 0
+    # The partitions belong to the grid run, not to the complete-graph search.
+    assert sorted(p.name for p in out.iterdir()) == [
+        *(f"grover_heatmap_iter{k:05d}.ppm" for k in (2, 4, 6)),
+        *(f"grover_snapshot_iter{k:05d}.csv" for k in (2, 4, 6)),
+        "grover_trace.csv",
+    ]
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, "L = 20\ntessellation = cross\n")
     out = tmp_path / "partitions"

@@ -103,6 +103,21 @@ def test_sweep_lists_and_expansion():
     assert sides == {4, 8}
 
 
+def test_only_the_swept_combinations_must_tile():
+    # The sweep replaces L = 8 by L = 6 and d = 4 by d = 2; 4 does not divide 6,
+    # but no point runs d = 4 on the 6-grid.
+    config = parse_config("L = 8\nsweep_n = 36\nsweep_d = 2\n")
+    points = [(label, build()) for label, build in config.sweep_points()]
+    assert [label for label, _ in points] == ["n36_d2_square_ltr_m4-4"]
+    ((_, point),) = points
+    assert (point.geometry.side, point.local_partition.tile_side) == (6, 2)
+    assert point.dispersion_partition.tile_shift == (1, 1)
+    # The dispersion kind is checked on every swept side and tile side.
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 10\ndispersion = cross\nsweep_n = 64\nsweep_d = 2\n")
+    assert list(err.value.violations) == ["cross tessellation needs 5 | L: 5 does not divide 8"]
+
+
 def test_sweep_validates_each_size():
     with pytest.raises(ConfigError) as err:
         parse_config("L = 8\nsweep_n = 64,100\n")  # square d=4 needs 4 | 10
@@ -275,8 +290,8 @@ def _outside_known_faults(text):
 def _outcome(parse, text):
     try:
         return dataclasses.asdict(parse(text))
-    except (ConfigError, reference_config.ConfigError):
-        return None
+    except (ConfigError, reference_config.ConfigError) as exc:
+        return exc.violations
 
 
 @settings(max_examples=400, deadline=None)
@@ -290,5 +305,21 @@ def _outcome(parse, text):
 @example("L = 20\ntessellation = four-corners")
 @example("L = 8\ndispersion = cross\nsweep_d = 2")
 @example("L = 20\nd = 3\ntessellation = cross")
+@example("L = 8\nsweep_n = 36\nsweep_d = 2")
+@example("L = 10\nmarked = 0,0,8,8\nsweep_n = 64")
 def test_parser_matches_the_previous_parser(text):
-    assert _outcome(parse_config, text) == _outcome(reference_config.parse_config, text)
+    new, old = _outcome(parse_config, text), _outcome(reference_config.parse_config, text)
+    if isinstance(new, tuple) or isinstance(old, dict):
+        # Both reject, or both accept and build equal configs.
+        assert new == old if isinstance(new, dict) else isinstance(old, tuple)
+        return
+    # The previous parser checked every size against every tile side the text
+    # named; now only the combinations that sweep points run must tile.  So it
+    # may reject, for tiling alone, a text that now parses, and then every
+    # sweep point must build (unless its marked cells coincide on a swept grid).
+    assert old and all(" tessellation needs " in violation for violation in old)
+    for _label, build in parse_config(text).sweep_points():
+        try:
+            build()
+        except ValueError as exc:
+            assert "coincide" in str(exc)

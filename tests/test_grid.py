@@ -26,6 +26,16 @@ def test_uniform_state_small_grids():
     np.testing.assert_allclose(state.amplitudes, 0.5, rtol=0, atol=0)
 
 
+def test_uniform_state_is_a_writable_plain_vector():
+    # Built from a read-only broadcast view; the state must still hold a plain vector
+    # bitwise equal to np.full(n, 1/sqrt(n)).
+    for side in (3, 20, 64):
+        n = side * side
+        a = uniform_state(GridGeometry(side)).amplitudes
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert a.tobytes() == np.full(n, 1.0 / np.sqrt(n)).tobytes()
+
+
 def test_uniform_state_single_cell_probability():
     state = uniform_state(GridGeometry(20))
     assert marked_probability(state, MarkedSet.of((7, 3))) == pytest.approx(0.0025, abs=1e-15)

@@ -8,22 +8,18 @@ from gridgrover import (
     DiffusionSpec,
     GridGeometry,
     GridState,
-    InvalidPartitionError,
     MarkedSet,
     OracleSpec,
-    Partition,
     apply_oracle,
     apply_partition_diffusion,
     basis_state,
     custom_partition,
-    four_corners_partition,
     marked_probability,
     materialize_dense,
     shifted_square_partition,
     square_partition,
     translate_partition,
     uniform_state,
-    validate_partition,
 )
 from test_tessellation import all_legal_partitions
 
@@ -269,31 +265,6 @@ def test_diffusion_spec_rejects_invalid_partition():
     g = GridGeometry(4)
     with pytest.raises(ValueError):
         DiffusionSpec(custom_partition(g, [[(0, 0)]]))
-
-
-def test_diffusion_spec_rejects_a_lying_tile_descriptor():
-    # Each partition is an exact cover, but its groups are not the tiles that
-    # tile_side/tile_shift describe, so the reshape fast path would be wrong.
-    g = GridGeometry(8)
-    shifted = shifted_square_partition(g, 4)
-    corners = four_corners_partition(g, 2)
-    lies = [
-        Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(0, 0)),
-        Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(2, 1)),
-        Partition(g, corners.cells, corners.offsets, tile_side=2),
-        Partition(g, corners.cells, corners.offsets, tile_side=3),
-    ]
-    for partition in lies:
-        assert validate_partition(partition).ok
-        with pytest.raises(InvalidPartitionError):
-            DiffusionSpec(partition)
-    # The same arrays under a true descriptor are accepted, whatever order the
-    # groups and their cells come in.
-    rng = np.random.default_rng(5)
-    tiles = shifted.cells.reshape(-1, 16)
-    shuffled = rng.permuted(tiles[rng.permutation(len(tiles))], axis=1).reshape(-1)
-    DiffusionSpec(Partition(g, shuffled, shifted.offsets, tile_side=4, tile_shift=(2, 2)))
-    DiffusionSpec(Partition(g, shifted.cells, shifted.offsets, tile_side=4, tile_shift=(6, -2)))
 
 
 def reference_tile_sweep(grid, d, shift):

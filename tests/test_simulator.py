@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gridgrover import (
     NormDriftError,
     OracleSpec,
     RunConfig,
-    Schedule,
     cross_partition,
     default_horizon,
     default_marked_cell,
@@ -31,13 +31,13 @@ def test_calibrated_defaults():
     assert DEFAULT_ORDER == "ltr"
     assert default_marked_cell(GridGeometry(20)) == (11, 11)
     assert default_horizon(GridGeometry(16)) == 64
-    assert Schedule.from_order("ltr").steps == (
+    assert RunConfig(GridGeometry(8)).steps == (
         STEP_ORACLE,
         STEP_LOCAL,
         STEP_ORACLE,
         STEP_DISPERSION,
     )
-    assert Schedule.from_order("rtl").steps == (
+    assert RunConfig(GridGeometry(8), order="rtl").steps == (
         STEP_DISPERSION,
         STEP_ORACLE,
         STEP_LOCAL,
@@ -46,12 +46,10 @@ def test_calibrated_defaults():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(())
-    with pytest.raises(ValueError):
-        Schedule(("oracle", "teleport"))
-    with pytest.raises(ValueError):
-        Schedule.from_order("boustrophedon")
+    # The order is the only schedule selector; an unknown one fails at construction.
+    for order in ("boustrophedon", "", "LTR"):
+        with pytest.raises(ValueError, match="order must be"):
+            RunConfig(GridGeometry(8), order=order)
 
 
 def test_initial_probability_is_uniform_measure():
@@ -103,7 +101,7 @@ def test_trace_matches_dense_operator_product(side, order):
     psi = uniform_state(g).amplitudes
     idx = config.marked.indices(g)
     for k in range(1, config.max_iterations + 1):
-        for step in config.schedule.steps:
+        for step in config.steps:
             psi = step_matrix[step] @ psi
         assert abs(float(psi[idx] @ psi[idx]) - trace.probabilities[k - 1]) <= 1e-10
         assert np.max(np.abs(psi.reshape(side, side) - trace.snapshots[k])) <= 1e-10
@@ -172,15 +170,6 @@ def test_trace_peak_matches_analysis_peak():
     trace = run(RunConfig(GridGeometry(8)))
     assert trace.peak == peak(trace.probabilities)
     assert trace.peak.probability == float(np.max(trace.probabilities))
-
-
-def test_custom_schedule():
-    g = GridGeometry(8)
-    config = RunConfig(g, schedule=Schedule((STEP_ORACLE, STEP_LOCAL)), max_iterations=4)
-    assert config.steps_per_iteration == 5
-    trace = run(config)
-    assert trace.counters.oracle_calls == 4
-    assert trace.counters.diffusion_applications == 4
 
 
 def test_run_config_validation():
@@ -280,8 +269,24 @@ def test_run_raises_on_nan(monkeypatch):
 
 
 def test_run_never_builds_coord_groups():
-    # The kernels read the partition arrays; Coord tuples are for tests only.
+    # The tile kernel reads the lattice; Coord tuples and tile cell arrays are
+    # for emission, dense matrices and tests only.
     config = RunConfig(GridGeometry(64))
     run(config)
     for partition in (config.local_partition, config.dispersion_partition):
-        assert "groups" not in partition.__dict__
+        assert partition.tile_side is not None
+        for derived in ("groups", "cells", "offsets", "group_ids"):
+            assert derived not in partition.__dict__
+
+
+def test_default_run_setup_allocates_no_grid_sized_arrays():
+    # Tile partitions are their (d, shift) lattice: at L = 2048 the run config
+    # and both diffusion specs stay far below one 32 MiB state.
+    tracemalloc.start()
+    try:
+        config = RunConfig(GridGeometry(2048))
+        DiffusionSpec(config.local_partition), DiffusionSpec(config.dispersion_partition)
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 2**20

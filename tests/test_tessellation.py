@@ -159,14 +159,30 @@ def test_validate_partition_rejects_malformed_arrays():
     g = GridGeometry(2)
     cells = np.arange(4)
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, cells, np.array([0, 3])))
+        validate_partition(Partition(g, arrays=(cells, np.array([0, 3]))))
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, cells, np.array([0, 3, 2, 4])))
+        validate_partition(Partition(g, arrays=(cells, np.array([0, 3, 2, 4]))))
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, np.array([0, 1, 2, 4]), np.array([0, 4])))
+        validate_partition(Partition(g, arrays=(np.array([0, 1, 2, 4]), np.array([0, 4]))))
     with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, np.array([-1, 1, 2, 3]), np.array([0, 4])))
-    assert validate_partition(Partition(g, cells, np.array([0, 4]))).ok
+        validate_partition(Partition(g, arrays=(np.array([-1, 1, 2, 3]), np.array([0, 4]))))
+    assert validate_partition(Partition(g, arrays=(cells, np.array([0, 4])))).ok
+
+
+def test_tile_descriptor_is_checked_at_construction():
+    g = GridGeometry(12)
+    for d in (0, -4, 5, 8, 24):
+        for build in (square_partition, shifted_square_partition):
+            with pytest.raises(ValueError, match="tessellation needs"):
+                build(g, d)
+        with pytest.raises(ValueError, match="tessellation needs"):
+            Partition(g, tile_side=d, tile_shift=(1, 2))
+    # A partition is a lattice or explicit arrays, never both and never neither.
+    explicit = square_partition(g, 3)
+    with pytest.raises(ValueError):
+        Partition(g, tile_side=3, arrays=(explicit.cells, explicit.offsets))
+    with pytest.raises(ValueError):
+        Partition(g)
 
 
 def test_square_partition_whole_grid():
