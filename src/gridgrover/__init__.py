@@ -49,7 +49,6 @@ from .operators import (
     materialize_dense,
 )
 from .outputs import (
-    HeatmapStyle,
     bin_index,
     emit_heatmap,
     emit_partition_csv,
@@ -70,7 +69,6 @@ from .simulator import (
 from .tessellation import (
     InvalidPartitionError,
     Partition,
-    PartitionReport,
     cross_partition,
     custom_partition,
     four_corners_partition,

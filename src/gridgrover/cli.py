@@ -20,22 +20,21 @@ from .config import ConfigError, ExperimentConfig, make_partition, parse_config
 from .experiments import TABLE_SIZES, run_experiment, table_report, write_point_artifacts
 from .grid import GridGeometry
 from .outputs import emit_partition_csv
-from .simulator import run_grover_reference
+from .simulator import _ORDERS, run_grover_reference
 from .tessellation import validate_partition
 
 __all__ = ["main"]
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool) -> None:
-    parser.add_argument("--config", type=Path, required=config_required,
-                        help="path to a key = value config file")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--order", choices=("rtl", "ltr"), default=None,
-                        help="round reading: rtl (dispersion first) or ltr (oracle first)")
-    parser.add_argument("--snapshots", type=int, default=None, metavar="STRIDE",
-                        help="iterations between stored grids (0 disables)")
-    parser.add_argument("--max-iters", type=int, default=None, metavar="K",
-                        help="horizon override (default 4 * L)")
+# Flag -> add_argument arguments.  Each command takes --out plus the flags it reads.
+_FLAGS = {
+    "config": dict(type=Path, required=True, help="path to a key = value config file"),
+    "order": dict(choices=tuple(_ORDERS), default=None,
+                  help="round reading: rtl (dispersion first) or ltr (oracle first)"),
+    "snapshots": dict(type=int, default=None, metavar="STRIDE",
+                      help="iterations between stored grids (0 disables)"),
+    "max-iters": dict(type=int, default=None, metavar="K", help="horizon override (default 4 * L)"),
+}
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -47,9 +46,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         )
     return config.with_overrides(
         out_dir=str(args.out) if args.out is not None else None,
-        order=args.order,
-        snapshot_stride=args.snapshots,
-        max_iterations=args.max_iters,
+        order=getattr(args, "order", None),
+        snapshot_stride=getattr(args, "snapshots", None),
+        max_iterations=getattr(args, "max_iters", None),
     )
 
 
@@ -60,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    orders = ("rtl", "ltr") if args.order is None else (args.order,)
+    orders = tuple(_ORDERS) if args.order is None else (args.order,)
     report = table_report(
         out_dir=args.out, orders=orders, sizes=TABLE_SIZES, max_iterations=args.max_iters
     )
@@ -92,20 +91,14 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     geometry = GridGeometry(config.side)
-    exit_code = 0
     for role, kind in (("local", config.local_kind), ("dispersion", config.dispersion_kind)):
         partition = make_partition(geometry, kind, config.d)
-        report = validate_partition(partition)
-        sys.stdout.write(
-            f"{role} ({kind}, d={config.d}): {report.summary()} "
-            f"[{partition.group_count} groups]\n"
-        )
-        if not report.ok:
-            exit_code = 1
+        validate_partition(partition)  # InvalidPartitionError exits 1 through main
+        sys.stdout.write(f"{role} ({kind}, d={config.d}): ok [{partition.group_count} groups]\n")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             emit_partition_csv(partition, args.out / f"partition_{role}.csv")
-    return exit_code
+    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -115,25 +108,21 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = commands.add_parser("run", help="single simulation from a config file")
-    _add_common_flags(run_parser, config_required=True)
-    run_parser.set_defaults(handler=_cmd_run)
-
-    sweep_parser = commands.add_parser("sweep", help="expand the config's sweep lists")
-    _add_common_flags(sweep_parser, config_required=True)
-    sweep_parser.set_defaults(handler=_cmd_run)
-
-    table_parser = commands.add_parser("table", help="rerun the reference result series")
-    _add_common_flags(table_parser, config_required=False)
-    table_parser.set_defaults(handler=_cmd_table)
-
-    grover_parser = commands.add_parser("grover", help="complete-graph reference trace")
-    _add_common_flags(grover_parser, config_required=True)
-    grover_parser.set_defaults(handler=_cmd_grover)
-
-    validate_parser = commands.add_parser("validate", help="check the config's tessellations")
-    _add_common_flags(validate_parser, config_required=True)
-    validate_parser.set_defaults(handler=_cmd_validate)
+    for name, handler, help_text, flags in (
+        ("run", _cmd_run, "single simulation from a config file",
+         ("config", "order", "snapshots", "max-iters")),
+        ("sweep", _cmd_run, "expand the config's sweep lists",
+         ("config", "order", "snapshots", "max-iters")),
+        ("table", _cmd_table, "rerun the reference result series", ("order", "max-iters")),
+        ("grover", _cmd_grover, "complete-graph reference trace",
+         ("config", "snapshots", "max-iters")),
+        ("validate", _cmd_validate, "check the config's tessellations", ("config",)),
+    ):
+        command = commands.add_parser(name, help=help_text)
+        command.add_argument("--out", type=Path, default=None, help="output directory")
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        command.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:

@@ -16,7 +16,8 @@ Keys::
                         four-corners (default shifted-square)
     order               ltr | rtl round reading (default ltr, the calibrated order)
     max_iters           horizon override (default 4 * L)
-    snapshot_stride     rounds between stored grids (0 = none)
+    snapshot_stride     rounds between stored grids (0 = none); grids are
+                        stored only when snapshots or heatmaps are emitted
     out                 output directory
     emit_trace          write trace.csv (default true)
     emit_snapshots      write snapshot CSVs (needs snapshot_stride >= 1)
@@ -42,7 +43,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .grid import GridGeometry, MarkedSet
-from .simulator import DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_marked_cell
+from .simulator import _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_marked_cell
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -145,8 +146,9 @@ class ExperimentConfig:
             if side is not None and side >= 2 and tile >= 1:
                 if problem := tiling_problem(side, kind, tile):
                     violations.append(problem)
-        if self.order not in ("rtl", "ltr"):
-            violations.append(f"order: expected 'rtl' or 'ltr', got {self.order!r}")
+        if self.order not in _ORDERS:
+            names = " or ".join(map(repr, _ORDERS))
+            violations.append(f"order: expected {names}, got {self.order!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             violations.append(f"max_iters: must be at least 1, got {self.max_iterations}")
         if self.snapshot_stride < 0:
@@ -175,6 +177,8 @@ class ExperimentConfig:
         size); callers decide whether one bad point aborts the sweep.
         """
         sides, tile_sides, kinds = self._axes()
+        # Stored grids are read only by the snapshot and heatmap emitters.
+        stride = self.snapshot_stride if self.emit_snapshots or self.emit_heatmaps else 0
         placements: "list[tuple[tuple[int, int], ...] | None]" = (
             [(cell,) for cell in self.sweep_marked] if self.sweep_marked else [self.marked_cells]
         )
@@ -191,7 +195,7 @@ class ExperimentConfig:
                     dispersion_partition=make_partition(geometry, self.dispersion_kind, d),
                     order=self.order,
                     max_iterations=self.max_iterations,
-                    snapshot_stride=self.snapshot_stride,
+                    snapshot_stride=stride,
                 )
 
             yield label, build

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .analysis import PeakSummary, first_crest
 from .config import ExperimentConfig
-from .outputs import HeatmapStyle, emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
+from .outputs import emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
 from .grid import GridGeometry
 from .simulator import RunConfig, SimulationTrace, run
 
@@ -123,9 +123,9 @@ def write_point_artifacts(
         for iteration, grid in sorted(trace.snapshots.items()):
             emit_snapshot_csv(grid, point_dir / f"{prefix}snapshot_iter{iteration:05d}.csv")
     if config.emit_heatmaps:
-        style = HeatmapStyle(scale=config.heatmap_scale)
         for iteration, grid in sorted(trace.snapshots.items()):
-            emit_heatmap(grid, style, point_dir / f"{prefix}heatmap_iter{iteration:05d}.ppm")
+            path = point_dir / f"{prefix}heatmap_iter{iteration:05d}.ppm"
+            emit_heatmap(grid, path, config.heatmap_scale)
     if config.emit_partition and run_config is not None:
         emit_partition_csv(run_config.local_partition, point_dir / "partition_local.csv")
         emit_partition_csv(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -20,7 +19,8 @@ from .tessellation import Partition
 
 __all__ = [
     "DEFAULT_HEATMAP_COLORS",
-    "HeatmapStyle",
+    "HEATMAP_BIN_WIDTH",
+    "HEATMAP_FLOOR",
     "bin_index",
     "emit_heatmap",
     "emit_partition_csv",
@@ -80,16 +80,18 @@ def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
 
 
 def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
-    """Write one ``i,j,group`` row per cell, row-major, for eyeballing tilings."""
-    geometry = partition.geometry
-    # Cells outside every group read -1.
-    ids = np.full(geometry.cell_count, -1, dtype=np.intp)
-    ids[partition.cells] = np.repeat(np.arange(partition.group_count), np.diff(partition.offsets))
-    return _emit_cell_csv(ids.reshape(geometry.side, geometry.side), "i,j,group", "%d", path)
+    """Write one ``i,j,group`` row per cell, row-major (-1 where no group covers the cell)."""
+    side = partition.geometry.side
+    return _emit_cell_csv(partition.group_ids.reshape(side, side), "i,j,group", "%d", path)
 
 
-# Ten bin colors, darkest (most negative amplitude) to brightest.  Bin 4 is a
-# light blue and bin 5 a lime green, the shades carrying the low positive
+# Amplitudes are clamped to [HEATMAP_FLOOR, 1.0] and binned by
+# floor((a - HEATMAP_FLOOR) / HEATMAP_BIN_WIDTH) with the top bin capped: ten
+# 0.15-wide bins tile [-0.5, 1.0] exactly.
+HEATMAP_FLOOR = -0.5
+HEATMAP_BIN_WIDTH = 0.15
+# One color per bin, darkest (most negative amplitude) to brightest.  Bin 4 is
+# a light blue and bin 5 a lime green, the shades carrying the low positive
 # amplitudes that ring a marked cell.
 DEFAULT_HEATMAP_COLORS: tuple[tuple[int, int, int], ...] = (
     (20, 12, 90),
@@ -105,54 +107,23 @@ DEFAULT_HEATMAP_COLORS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HeatmapStyle:
-    """Amplitude binning and colors for rasters.
-
-    Amplitudes are clamped to [floor, 1.0] and binned by
-    ``floor((a - floor) / bin_width)`` with the top bin capped, so the bins
-    tile [floor, 1.0] exactly: with the defaults, ten 0.15-wide bins over
-    [-0.5, 1.0].  ``scale`` is an integer pixel upscaling factor.
-    """
-
-    bin_width: float = 0.15
-    floor: float = -0.5
-    colors: tuple[tuple[int, int, int], ...] = DEFAULT_HEATMAP_COLORS
-    scale: int = 1
-
-    def __post_init__(self) -> None:
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
-        span = 1.0 - self.floor
-        if abs(span - len(self.colors) * self.bin_width) > 1e-9:
-            raise ValueError(
-                f"{len(self.colors)} bins of width {self.bin_width} do not tile "
-                f"[{self.floor}, 1.0]"
-            )
-
-    @property
-    def bin_count(self) -> int:
-        return len(self.colors)
-
-
-def bin_index(amplitude, style: HeatmapStyle = HeatmapStyle()) -> np.ndarray:
+def bin_index(amplitude) -> np.ndarray:
     """Bin index of an amplitude (scalar or array) under the clamp-and-cap rule."""
-    a = np.clip(np.asarray(amplitude, dtype=np.float64), style.floor, 1.0)
-    bins = np.floor((a - style.floor) / style.bin_width).astype(np.int64)
-    return np.minimum(bins, style.bin_count - 1)
+    a = np.clip(np.asarray(amplitude, dtype=np.float64), HEATMAP_FLOOR, 1.0)
+    bins = np.floor((a - HEATMAP_FLOOR) / HEATMAP_BIN_WIDTH).astype(np.int64)
+    return np.minimum(bins, len(DEFAULT_HEATMAP_COLORS) - 1)
 
 
-def emit_heatmap(grid: np.ndarray, style: HeatmapStyle, path: "str | Path") -> Path:
-    """Render an amplitude grid to a binary portable pixmap (P6)."""
+def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
+    """Render an amplitude grid to a binary portable pixmap (P6), ``scale`` pixels per cell side."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError(f"expected a 2-d amplitude grid, got shape {grid.shape}")
-    palette = np.array(style.colors, dtype=np.uint8)
-    pixels = palette[bin_index(grid, style)]
-    if style.scale > 1:
-        pixels = np.repeat(np.repeat(pixels, style.scale, axis=0), style.scale, axis=1)
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    pixels = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)[bin_index(grid)]
+    if scale > 1:
+        pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
     height, width = pixels.shape[:2]
     path = Path(path)
     with path.open("wb") as handle:

@@ -59,10 +59,10 @@ __all__ = [
 STEP_ORACLE = "oracle"
 STEP_LOCAL = "local_diffusion"
 STEP_DISPERSION = "dispersion"
-# The two readings of the four-operator round.
+# The two readings of the four-operator round, named in the order the table runs them.
 _ORDERS = {
-    "ltr": (STEP_ORACLE, STEP_LOCAL, STEP_ORACLE, STEP_DISPERSION),
     "rtl": (STEP_DISPERSION, STEP_ORACLE, STEP_LOCAL, STEP_ORACLE),
+    "ltr": (STEP_ORACLE, STEP_LOCAL, STEP_ORACLE, STEP_DISPERSION),
 }
 
 DEFAULT_TILE_SIDE = 4

@@ -17,7 +17,7 @@ unitary.  Four generators are provided:
 Hand-built groups are supported through ``custom_partition`` (used by test
 fixtures).  Square and shifted-square partitions are their tile lattice (d,
 shift) alone; the others are flat cell offsets plus group bounds, built with
-numpy broadcasting.  Per-cell ``Coord`` tuples exist only on request.
+numpy broadcasting.  ``validate_partition`` is the one cover check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Coord, GridGeometry, cell_index, coord_of_index
+from .grid import GridGeometry, cell_index
 
 __all__ = [
     "KIND_CROSS",
@@ -37,7 +37,6 @@ __all__ = [
     "KIND_SQUARE",
     "InvalidPartitionError",
     "Partition",
-    "PartitionReport",
     "cross_partition",
     "custom_partition",
     "four_corners_partition",
@@ -56,7 +55,7 @@ KIND_CUSTOM = "custom"
 
 
 class InvalidPartitionError(ValueError):
-    """Raised when groups fail to cover every grid cell exactly once."""
+    """Raised when groups are empty or fail to cover every grid cell exactly once."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +63,7 @@ class Partition:
     """Disjoint cell groups covering the grid.
 
     Group g is ``cells[offsets[g]:offsets[g + 1]]``: row-major flat offsets in
-    ``intp`` arrays.  Its ``Coord`` tuples in ``groups`` are built on first use.
+    ``intp`` arrays.  ``group_ids`` is the inverse, cell -> group.
 
     A tile partition is its lattice alone: d x d tiles, d = ``tile_side``, with
     an origin at ``tile_shift`` (aligned iff that is (0, 0)).  It covers the
@@ -112,20 +111,9 @@ class Partition:
         return self.offsets.size - 1
 
     @cached_property
-    def groups(self) -> tuple[tuple[Coord, ...], ...]:
-        """Per-group ``Coord`` tuples for tests and dense matrices; the kernels read the arrays."""
-        rows, cols = np.divmod(self.cells, self.geometry.side)
-        coords = list(map(Coord, rows.tolist(), cols.tolist()))
-        bounds = self.offsets.tolist()
-        return tuple(tuple(coords[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
     def group_ids(self) -> np.ndarray:
-        """Cell -> group index map; raises unless the cover is exact."""
-        report = validate_partition(self)
-        if not report.ok:
-            raise InvalidPartitionError(report.summary())
-        ids = np.empty(self.geometry.cell_count, dtype=np.intp)
+        """Cell -> group index map, -1 where no group covers a cell; the cover is not checked."""
+        ids = np.full(self.geometry.cell_count, -1, dtype=np.intp)
         ids[self.cells] = np.repeat(np.arange(self.group_count), np.diff(self.offsets))
         return ids
 
@@ -134,42 +122,23 @@ class Partition:
         return np.diff(self.offsets).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    """Outcome of a cover check: which cells are duplicated or missing."""
-
-    ok: bool
-    duplicated: tuple[Coord, ...]
-    missing: tuple[Coord, ...]
-    empty_groups: tuple[int, ...]
-
-    def summary(self) -> str:
-        if self.ok:
-            return "ok"
-        parts = []
-        if self.duplicated:
-            parts.append(f"{len(self.duplicated)} duplicated cells")
-        if self.missing:
-            parts.append(f"{len(self.missing)} missing cells")
-        if self.empty_groups:
-            parts.append(f"{len(self.empty_groups)} empty groups")
-        return "invalid partition: " + ", ".join(parts)
-
-
-def validate_partition(partition: Partition) -> PartitionReport:
-    """Check that every cell appears exactly once; raise if the arrays are not groups of cells."""
-    geometry, cells, offsets = partition.geometry, partition.cells, partition.offsets
-    n, sizes = geometry.cell_count, np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != cells.size or np.any(sizes < 0):
+def validate_partition(partition: Partition) -> None:
+    """Raise ``InvalidPartitionError`` unless nonempty groups cover every cell exactly once."""
+    cells, offsets, n = partition.cells, partition.offsets, partition.geometry.cell_count
+    sizes = np.diff(offsets)
+    if offsets[:1].tolist() != [0] or offsets[-1] != cells.size or np.any(sizes < 0):
         raise InvalidPartitionError("group offsets must rise from 0 to the number of cells")
     if cells.size and (cells.min() < 0 or cells.max() >= n):
         raise InvalidPartitionError(f"cell offsets must lie in [0, {n})")
     counts = np.bincount(cells, minlength=n)
-    duplicated = tuple(coord_of_index(geometry, int(i)) for i in np.flatnonzero(counts > 1))
-    missing = tuple(coord_of_index(geometry, int(i)) for i in np.flatnonzero(counts == 0))
-    empty = tuple(np.flatnonzero(sizes == 0).tolist())
-    ok = not duplicated and not missing
-    return PartitionReport(ok=ok, duplicated=duplicated, missing=missing, empty_groups=empty)
+    faults = {
+        "duplicated cells": np.count_nonzero(counts > 1),
+        "missing cells": np.count_nonzero(counts == 0),
+        "empty groups": np.count_nonzero(sizes == 0),
+    }
+    if any(faults.values()):
+        found = ", ".join(f"{count} {fault}" for fault, count in faults.items() if count)
+        raise InvalidPartitionError(f"invalid partition: {found}")
 
 
 def tiling_problem(side: int, kind: str, d: int) -> "str | None":

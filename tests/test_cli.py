@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gridgrover import read_trace_csv
 from gridgrover.cli import main
@@ -163,3 +164,23 @@ def test_sweep_continues_past_failing_points(tmp_path):
     dirs = [p.name for p in out.iterdir() if p.is_dir()]
     assert any(d.startswith("n256") for d in dirs)
     assert not any(d.startswith("n64") for d in dirs)
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("table", "--config", "does-not-exist.cfg"),
+        ("table", "--snapshots", "3"),
+        ("grover", "--order", "rtl"),
+        ("validate", "--order", "rtl"),
+        ("validate", "--snapshots", "2"),
+        ("validate", "--max-iters", "1"),
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag, value):
+    cfg = write_config(tmp_path, "L = 8\n")
+    args = [command] if command == "table" else [command, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

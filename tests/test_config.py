@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_config
-from gridgrover import ConfigError, GridGeometry, config, make_partition, parse_config
+from gridgrover import (
+    ConfigError,
+    GridGeometry,
+    config,
+    make_partition,
+    parse_config,
+    run_experiment,
+)
 from gridgrover.tessellation import KIND_CROSS, KIND_SHIFTED_SQUARE, KIND_SQUARE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -91,6 +98,18 @@ def test_heatmaps_require_a_snapshot_stride():
     assert any("snapshot_stride" in v for v in err.value.violations)
     config = parse_config("L = 8\nemit_heatmaps = true\nsnapshot_stride = 2\n")
     assert config.emit_heatmaps
+
+
+def test_grids_are_stored_only_for_the_emitters(tmp_path):
+    # A stride with neither snapshots nor heatmaps emitted stores nothing.
+    quiet = parse_config("L = 16\nsnapshot_stride = 1\nemit_trace = false\n")
+    ((_label, build),) = quiet.sweep_points()
+    assert build().snapshot_stride == 0
+    (point,) = run_experiment(quiet, tmp_path).points
+    assert point.trace.snapshots == {}
+    for emit in ("emit_snapshots", "emit_heatmaps"):
+        ((_label, build),) = dataclasses.replace(quiet, **{emit: True}).sweep_points()
+        assert build().snapshot_stride == 1, emit
 
 
 def test_sweep_lists_and_expansion():

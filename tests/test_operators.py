@@ -21,7 +21,7 @@ from gridgrover import (
     translate_partition,
     uniform_state,
 )
-from test_tessellation import all_legal_partitions
+from test_tessellation import all_legal_partitions, groups
 
 
 def random_state(geometry, seed):
@@ -180,7 +180,7 @@ def test_tile_and_generic_sweeps_agree():
 
     g = GridGeometry(8)
     fast = shifted_square_partition(g, 4)
-    generic = custom_partition(g, [list(grp) for grp in fast.groups])
+    generic = custom_partition(g, [list(grp) for grp in groups(fast)])
     assert fast.tile_side is not None and generic.tile_side is None
     a = random_state(g, 11)
     b = a.copy()
@@ -222,7 +222,7 @@ def test_group_locality():
     g = GridGeometry(8)
     p = square_partition(g, 4)
     spec = DiffusionSpec(p)
-    group = p.groups[0]
+    group = groups(p)[0]
     inside = [c for c in group]
     outside_a, outside_b = (6, 6), (7, 0)
 
@@ -316,7 +316,7 @@ def test_tile_group_and_dense_paths_agree(lattice, seed):
     side, d, shift = lattice
     g = GridGeometry(side)
     fast = translate_partition(square_partition(g, d), shift)
-    generic = custom_partition(g, [list(grp) for grp in fast.groups])
+    generic = custom_partition(g, [list(grp) for grp in groups(fast)])
     assert fast.tile_side == d and generic.tile_side is None
     a = random_state(g, seed)
     expected = materialize_dense(DiffusionSpec(fast), g) @ a.amplitudes

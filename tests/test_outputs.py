@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from gridgrover import (
     GridGeometry,
-    HeatmapStyle,
     RunConfig,
     bin_index,
     emit_heatmap,
@@ -50,10 +49,9 @@ def test_emitted_files_are_byte_deterministic(tmp_path, small_trace):
     a = emit_trace_csv(small_trace, tmp_path / "a.csv").read_bytes()
     b = emit_trace_csv(small_trace, tmp_path / "b.csv").read_bytes()
     assert a == b
-    style = HeatmapStyle()
     grid = small_trace.snapshots[2]
-    x = emit_heatmap(grid, style, tmp_path / "a.ppm").read_bytes()
-    y = emit_heatmap(grid, style, tmp_path / "b.ppm").read_bytes()
+    x = emit_heatmap(grid, tmp_path / "a.ppm").read_bytes()
+    y = emit_heatmap(grid, tmp_path / "b.ppm").read_bytes()
     assert x == y
 
 
@@ -104,14 +102,11 @@ def test_partition_csv(tmp_path):
     assert lines[2 + 4] == "1,1,0"
 
 
-def test_heatmap_style_validates_tiling():
-    assert HeatmapStyle().bin_count == 10
-    with pytest.raises(ValueError):
-        HeatmapStyle(bin_width=0.2)
-    with pytest.raises(ValueError):
-        HeatmapStyle(scale=0)
-    with pytest.raises(ValueError):
-        HeatmapStyle(bin_width=-0.15)
+def test_heatmap_rejects_scale_below_one(tmp_path):
+    for scale in (0, -2):
+        with pytest.raises(ValueError, match="scale"):
+            emit_heatmap(np.zeros((4, 4)), tmp_path / "x.ppm", scale)
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_bin_index_rule():
@@ -129,7 +124,7 @@ def test_bin_index_stays_in_range(amplitude):
 
 def test_heatmap_header_and_uniform_pixels(tmp_path):
     grid = uniform_state(GridGeometry(20)).as_grid()
-    path = emit_heatmap(grid, HeatmapStyle(), tmp_path / "u.ppm")
+    path = emit_heatmap(grid, tmp_path / "u.ppm")
     blob = path.read_bytes()
     header = b"P6\n20 20\n255\n"
     assert blob.startswith(header)
@@ -140,7 +135,7 @@ def test_heatmap_header_and_uniform_pixels(tmp_path):
 
 def test_heatmap_upscaling(tmp_path):
     grid = np.zeros((4, 4))
-    path = emit_heatmap(grid, HeatmapStyle(scale=3), tmp_path / "s.ppm")
+    path = emit_heatmap(grid, tmp_path / "s.ppm", scale=3)
     blob = path.read_bytes()
     assert blob.startswith(b"P6\n12 12\n255\n")
     assert len(blob) == len(b"P6\n12 12\n255\n") + 12 * 12 * 3
@@ -150,7 +145,7 @@ def test_heatmap_pixel_binning_golden(tmp_path):
     grid = np.full((20, 20), 0.05)
     for col, a in enumerate([-0.7, -0.5, 0.0, 0.149, 0.15, 1.0]):
         grid[0, col] = a
-    path = emit_heatmap(grid, HeatmapStyle(), tmp_path / "g.ppm")
+    path = emit_heatmap(grid, tmp_path / "g.ppm")
     blob = path.read_bytes()
     header = b"P6\n20 20\n255\n"
     pixels = np.frombuffer(blob[len(header):], dtype=np.uint8).reshape(20, 20, 3)
@@ -160,7 +155,7 @@ def test_heatmap_pixel_binning_golden(tmp_path):
 
 def test_heatmap_rejects_flat_input(tmp_path):
     with pytest.raises(ValueError):
-        emit_heatmap(np.zeros(16), HeatmapStyle(), tmp_path / "x.ppm")
+        emit_heatmap(np.zeros(16), tmp_path / "x.ppm")
 
 
 def test_default_colors_brighten_monotonically():

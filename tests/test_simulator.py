@@ -269,13 +269,13 @@ def test_run_raises_on_nan(monkeypatch):
 
 
 def test_run_never_builds_coord_groups():
-    # The tile kernel reads the lattice; Coord tuples and tile cell arrays are
-    # for emission, dense matrices and tests only.
+    # The tile kernel reads the lattice; tile cell arrays and the cell -> group
+    # map are for emission, dense matrices and tests only.
     config = RunConfig(GridGeometry(64))
     run(config)
     for partition in (config.local_partition, config.dispersion_partition):
         assert partition.tile_side is not None
-        for derived in ("groups", "cells", "offsets", "group_ids"):
+        for derived in ("cells", "offsets", "group_ids"):
             assert derived not in partition.__dict__
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridgrover import (
     Coord,
+    DiffusionSpec,
     GridGeometry,
     InvalidPartitionError,
     Partition,
@@ -40,6 +41,14 @@ def all_legal_partitions(side):
         if side % (2 * d) == 0:
             out.append(four_corners_partition(g, d))
     return out
+
+
+def groups(partition):
+    """Per-group ``Coord`` tuples, in group order and each group's cell order."""
+    rows, cols = np.divmod(partition.cells, partition.geometry.side)
+    coords = list(map(Coord, rows.tolist(), cols.tolist()))
+    bounds = partition.offsets.tolist()
+    return tuple(tuple(coords[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 # Reference generators: the per-cell loops that defined each tessellation's
@@ -110,10 +119,10 @@ def test_array_generators_match_reference_loops_up_to_40():
     rng = random.Random(1303)
     for side in range(2, 41):
         for p, reference in legal_partitions_with_reference(side):
-            assert p.groups == tuple(reference), (side, p.kind, p.tile_side)
+            assert groups(p) == tuple(reference), (side, p.kind, p.tile_side)
             di, dj = rng.randint(-3 * side, 3 * side), rng.randint(-3 * side, 3 * side)
             moved = translate_partition(p, (di, dj))
-            assert moved.groups == tuple(reference_translate(reference, side, di, dj))
+            assert groups(moved) == tuple(reference_translate(reference, side, di, dj))
             assert (moved.kind, moved.step_cost, moved.tile_side) == (
                 p.kind,
                 p.step_cost,
@@ -139,7 +148,7 @@ def test_partition_csv_bytes_match_reference_emitter(tmp_path, side):
     g = GridGeometry(side)
     partial = custom_partition(g, [[(0, 0), (1, 1)], [(2, 3)]])
     cases = legal_partitions_with_reference(side)
-    cases.append((partial, partial.groups))
+    cases.append((partial, groups(partial)))
     for k, (p, reference) in enumerate(cases):
         got = emit_partition_csv(p, tmp_path / f"got{k}.csv").read_bytes()
         want = reference_partition_csv(g, reference, tmp_path / f"want{k}.csv").read_bytes()
@@ -150,7 +159,7 @@ def test_partition_arrays_describe_groups():
     p = four_corners_partition(GridGeometry(8), 2)
     assert p.cells.dtype == np.intp and p.offsets.dtype == np.intp
     assert p.offsets.tolist() == list(range(0, 65, 4))
-    assert p.cells[:4].tolist() == [cell_index(p.geometry, c) for c in p.groups[0]]
+    assert p.cells[:4].tolist() == [cell_index(p.geometry, c) for c in groups(p)[0]]
     np.testing.assert_array_equal(p.group_sizes, 4.0)
     np.testing.assert_array_equal(p.group_ids[p.cells], np.repeat(np.arange(16), 4))
 
@@ -166,7 +175,9 @@ def test_validate_partition_rejects_malformed_arrays():
         validate_partition(Partition(g, arrays=(np.array([0, 1, 2, 4]), np.array([0, 4]))))
     with pytest.raises(InvalidPartitionError):
         validate_partition(Partition(g, arrays=(np.array([-1, 1, 2, 3]), np.array([0, 4]))))
-    assert validate_partition(Partition(g, arrays=(cells, np.array([0, 4])))).ok
+    with pytest.raises(InvalidPartitionError, match="offsets"):
+        validate_partition(Partition(g, arrays=(cells, np.array([], dtype=np.intp))))
+    assert validate_partition(Partition(g, arrays=(cells, np.array([0, 4])))) is None
 
 
 def test_tile_descriptor_is_checked_at_construction():
@@ -188,21 +199,21 @@ def test_tile_descriptor_is_checked_at_construction():
 def test_square_partition_whole_grid():
     p = square_partition(GridGeometry(4), 4)
     assert p.group_count == 1
-    assert len(p.groups[0]) == 16
+    assert len(groups(p)[0]) == 16
 
 
 def test_square_partition_block_origins():
     p = square_partition(GridGeometry(8), 4)
     assert p.group_count == 4
-    assert all(len(g) == 16 for g in p.groups)
-    origins = {min(g) for g in p.groups}
+    assert all(len(g) == 16 for g in groups(p))
+    origins = {min(g) for g in groups(p)}
     assert origins == {Coord(0, 0), Coord(0, 4), Coord(4, 0), Coord(4, 4)}
 
 
 def test_square_partition_group_count_20():
     p = square_partition(GridGeometry(20), 4)
     assert p.group_count == 25
-    assert all(len(g) == 16 for g in p.groups)
+    assert all(len(g) == 16 for g in groups(p))
 
 
 def test_square_partition_rejects_non_divisor():
@@ -215,12 +226,12 @@ def test_square_partition_rejects_non_divisor():
 def test_shifted_partition_is_relabeling_on_single_tile():
     p = shifted_square_partition(GridGeometry(4), 4)
     assert p.group_count == 1
-    assert set(p.groups[0]) == {Coord(i, j) for i in range(4) for j in range(4)}
+    assert set(groups(p)[0]) == {Coord(i, j) for i in range(4) for j in range(4)}
 
 
 def test_shifted_partition_wraps():
     p = shifted_square_partition(GridGeometry(8), 4)
-    by_cells = {frozenset(g) for g in p.groups}
+    by_cells = {frozenset(g) for g in groups(p)}
     inner = frozenset(Coord(i, j) for i in range(2, 6) for j in range(2, 6))
     wrapped = frozenset(Coord(i, j) for i in (6, 7, 0, 1) for j in (6, 7, 0, 1))
     assert inner in by_cells
@@ -231,9 +242,9 @@ def test_shifted_tiles_overlap_exactly_four_aligned_tiles():
     # Enumerated overlap count between the two tilings at L=8, d=4.
     aligned = square_partition(GridGeometry(8), 4)
     shifted = shifted_square_partition(GridGeometry(8), 4)
-    for tile in shifted.groups:
+    for tile in groups(shifted):
         cells = set(tile)
-        touching = sum(1 for other in aligned.groups if cells & set(other))
+        touching = sum(1 for other in groups(aligned) if cells & set(other))
         assert touching == 4
 
 
@@ -241,9 +252,9 @@ def test_shifted_tiles_overlap_exactly_four_aligned_tiles():
 def test_cross_partition_tiles_exactly(side, expected_groups):
     p = cross_partition(GridGeometry(side))
     assert p.group_count == expected_groups
-    assert validate_partition(p).ok
+    validate_partition(p)
     # brute-force cover check, independent of the validator
-    seen = Counter(cell for group in p.groups for cell in group)
+    seen = Counter(cell for group in groups(p) for cell in group)
     assert set(seen.values()) == {1}
     assert len(seen) == side * side
 
@@ -251,7 +262,7 @@ def test_cross_partition_tiles_exactly(side, expected_groups):
 def test_cross_groups_are_center_plus_cardinal_neighbors():
     side = 10
     p = cross_partition(GridGeometry(side))
-    for group in p.groups:
+    for group in groups(p):
         center = group[0]
         want = {
             center,
@@ -271,7 +282,7 @@ def test_cross_partition_rejects_bad_side():
 def test_four_corners_small_grid():
     p = four_corners_partition(GridGeometry(4), 2)
     assert p.group_count == 4
-    assert {frozenset(g) for g in p.groups} >= {
+    assert {frozenset(g) for g in groups(p)} >= {
         frozenset({Coord(0, 0), Coord(2, 0), Coord(0, 2), Coord(2, 2)})
     }
 
@@ -279,14 +290,14 @@ def test_four_corners_small_grid():
 def test_four_corners_exact_cover_8():
     p = four_corners_partition(GridGeometry(8), 2)
     assert p.group_count == 16
-    seen = Counter(cell for group in p.groups for cell in group)
+    seen = Counter(cell for group in groups(p) for cell in group)
     assert set(seen.values()) == {1} and len(seen) == 64
 
 
 @pytest.mark.parametrize("side,d", [(4, 2), (8, 2), (8, 4), (12, 3), (20, 5)])
 def test_four_corners_group_size_always_four(side, d):
     p = four_corners_partition(GridGeometry(side), d)
-    assert all(len(g) == 4 for g in p.groups)
+    assert all(len(g) == 4 for g in groups(p))
 
 
 def test_four_corners_rejects_bad_param():
@@ -297,33 +308,33 @@ def test_four_corners_rejects_bad_param():
 def test_validate_partition_reports_duplicates_and_missing():
     g = GridGeometry(8)
     good = square_partition(g, 4)
-    assert validate_partition(good).ok
+    assert validate_partition(good) is None
 
-    doubled = custom_partition(g, [list(grp) for grp in good.groups] + [list(good.groups[0])])
-    report = validate_partition(doubled)
-    assert not report.ok
-    assert len(report.duplicated) == 16
-    assert report.missing == ()
+    tiles = [list(grp) for grp in groups(good)]
+    doubled = custom_partition(g, tiles + [tiles[0]])
+    with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 16 duplicated cells$"):
+        validate_partition(doubled)
 
-    short = custom_partition(g, [list(good.groups[0])[:-1]] + [list(grp) for grp in good.groups[1:]])
-    report = validate_partition(short)
-    assert not report.ok
-    assert len(report.missing) == 1
-    assert "missing" in report.summary()
+    short = custom_partition(g, [tiles[0][:-1]] + tiles[1:])
+    with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 1 missing cells$"):
+        validate_partition(short)
 
 
-def test_validate_partition_flags_empty_groups():
+def test_validate_partition_rejects_empty_groups():
+    # An empty group has no superposition to reflect about: its mean would divide by zero.
     g = GridGeometry(4)
     p = custom_partition(g, [[(i, j) for i in range(4) for j in range(4)], []])
-    report = validate_partition(p)
-    assert report.empty_groups == (1,)
+    with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 1 empty groups$"):
+        validate_partition(p)
+    with pytest.raises(InvalidPartitionError, match="empty groups"):
+        DiffusionSpec(p)
 
 
 def test_all_legal_generators_tile_up_to_40():
     for side in range(2, 41):
         for p in all_legal_partitions(side):
-            assert validate_partition(p).ok, (side, p.kind)
-            assert sum(len(g) for g in p.groups) == side * side
+            validate_partition(p)
+            assert sum(len(g) for g in groups(p)) == side * side
 
 
 def test_group_counts_match_formulas():
@@ -340,7 +351,7 @@ def test_gram_matrix_of_indicator_states_is_identity():
         for p in all_legal_partitions(side):
             n = side * side
             vectors = np.zeros((p.group_count, n))
-            for row, group in enumerate(p.groups):
+            for row, group in enumerate(groups(p)):
                 for cell in group:
                     vectors[row, cell_index(p.geometry, cell)] = 1.0 / np.sqrt(len(group))
             gram = vectors @ vectors.T
@@ -356,14 +367,15 @@ def test_translation_preserves_tiling(di, dj):
         cross_partition(GridGeometry(10)),
         four_corners_partition(GridGeometry(12), 3),
     ):
-        assert validate_partition(translate_partition(p, (di, dj))).ok
+        validate_partition(translate_partition(p, (di, dj)))
 
 
-def test_group_ids_raise_on_invalid_partition():
-    g = GridGeometry(4)
-    p = custom_partition(g, [[(0, 0)]])
-    with pytest.raises(ValueError):
-        p.group_ids
+def test_group_ids_mark_uncovered_cells():
+    # group_ids checks nothing: cells outside every group read -1.
+    p = custom_partition(GridGeometry(4), [[(0, 0)], [(1, 2), (3, 3)]])
+    expected = np.full(16, -1)
+    expected[[0, 6, 15]] = [0, 1, 1]
+    np.testing.assert_array_equal(p.group_ids, expected)
 
 
 def test_step_costs():
