@@ -34,6 +34,7 @@ from .grid import (
     GridState,
     MarkedSet,
     NormDriftError,
+    TileState,
     basis_state,
     cell_index,
     coord_of_index,

@@ -16,8 +16,8 @@ Keys::
                         four-corners (default shifted-square)
     order               ltr | rtl round reading (default ltr, the calibrated order)
     max_iters           horizon override (default 4 * L)
-    snapshot_stride     rounds between stored grids (0 = none); grids are
-                        stored only when snapshots or heatmaps are emitted
+    snapshot_stride     rounds between stored grids (0 = none; >= 1 needs
+                        emit_snapshots or emit_heatmaps, which read them)
     out                 output directory
     emit_trace          write trace.csv (default true)
     emit_snapshots      write snapshot CSVs (needs snapshot_stride >= 1)
@@ -157,6 +157,9 @@ class ExperimentConfig:
             violations.append(f"heatmap_scale: must be a positive integer, got {self.heatmap_scale}")
         if (self.emit_snapshots or self.emit_heatmaps) and self.snapshot_stride == 0:
             violations.append("emit_snapshots/emit_heatmaps require snapshot_stride >= 1")
+        if self.snapshot_stride >= 1 and not (self.emit_snapshots or self.emit_heatmaps):
+            violations.append("snapshot_stride: stored grids are read only by emit_snapshots "
+                              "or emit_heatmaps; set one of them or use 0")
         if violations:
             # Sweeps can repeat one divisibility problem; report it once.
             raise ConfigError(list(dict.fromkeys(violations)))
@@ -177,8 +180,6 @@ class ExperimentConfig:
         size); callers decide whether one bad point aborts the sweep.
         """
         sides, tile_sides, kinds = self._axes()
-        # Stored grids are read only by the snapshot and heatmap emitters.
-        stride = self.snapshot_stride if self.emit_snapshots or self.emit_heatmaps else 0
         placements: "list[tuple[tuple[int, int], ...] | None]" = (
             [(cell,) for cell in self.sweep_marked] if self.sweep_marked else [self.marked_cells]
         )
@@ -195,7 +196,7 @@ class ExperimentConfig:
                     dispersion_partition=make_partition(geometry, self.dispersion_kind, d),
                     order=self.order,
                     max_iterations=self.max_iterations,
-                    snapshot_stride=stride,
+                    snapshot_stride=self.snapshot_stride,
                 )
 
             yield label, build

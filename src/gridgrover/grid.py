@@ -8,6 +8,11 @@ consumes flat indices never does modular arithmetic itself.
 Amplitudes are kept real.  Every operator in this package is a real
 reflection, so a real float64 vector is exact, halves memory, and doubles
 throughput relative to a complex state.
+
+A run holds one of two states: ``GridState``, the amplitude vector, or
+``TileState``, a run over two d x d tile lattices held by one coefficient
+per tile and one delta per marked cell.  Both answer the same reads: the
+norm, the marked amplitudes and the (L, L) grid.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "GridState",
     "MarkedSet",
     "NormDriftError",
+    "TileState",
     "basis_state",
     "cell_index",
     "coord_of_index",
@@ -144,11 +150,16 @@ class GridState:
     def norm_squared(self) -> float:
         return float(self.amplitudes @ self.amplitudes)
 
-    def check_norm(self, atol: float = NORM_ATOL) -> None:
+    def check_norm(self, atol: float = NORM_ATOL) -> float:
+        """The drift |norm^2 - 1|; raises ``NormDriftError`` above ``atol``."""
         drift = abs(self.norm_squared - 1.0)
         # Written so that a NaN drift fails too.
         if not drift <= atol:
             raise NormDriftError(f"state norm drifted by {drift:.3e} (> {atol:.1e})")
+        return drift
+
+    def marked_amplitudes(self, marked: MarkedSet) -> np.ndarray:
+        return self.amplitudes[marked.indices(self.geometry)]
 
     def as_grid(self) -> np.ndarray:
         """(L, L) view sharing the underlying buffer."""
@@ -160,6 +171,102 @@ class GridState:
 
     def amplitude(self, cell: tuple[int, int]) -> float:
         return float(self.amplitudes[cell_index(self.geometry, cell)])
+
+
+class TileState:
+    """The uniform state of a run over two d x d tile lattices, as tile coefficients.
+
+    From the uniform start the oracle and the reflections about the local
+    lattice A and the dispersion lattice B keep the amplitudes at
+    a = sum_x c_x e_x + up_A(M) + up_B(N): one coefficient per tile of each
+    lattice (up_A(M) puts M[t] on every cell of tile t) and one delta per
+    marked cell, so a round costs O((L/d)^2 + K) instead of O(n).
+
+    A's tile (p, q) covers rows o_r + p*d + [0, d) and columns o_c + q*d +
+    [0, d), o = ``origins[0]``; B's is moved by the lattices' relative shift
+    s in [0, d) per axis, so per axis A tile p meets B tiles p and p - 1 in
+    d - s and s lines.  ``coefficients`` are two (m + 1)^2 arrays, m = L/d:
+    M in [:m, :m], N in [1:, 1:], the spare row and column repeating the
+    opposite edge (the torus wrap).  Each lattice's tiles then lie in one
+    flat ``windows`` slice, spare entries included, and the other lattice's
+    tiles of each overlap region in a slice at a fixed offset: every
+    per-round pass is one contiguous 1-D operation.  ``deltas`` holds c in
+    sorted cell order, ``marked_tiles`` each marked cell's tile in either array.
+    """
+
+    def __init__(self, geometry: GridGeometry, marked: MarkedSet, tile_side: int,
+                 local_shift: tuple[int, int], dispersion_shift: tuple[int, int]):
+        side, d = geometry.side, tile_side
+        m = side // d
+        origin = [s % d for s in local_shift]
+        shift = [(s - o) % d for s, o in zip(dispersion_shift, origin)]
+        self.geometry, self.marked, self.tile_side = geometry, marked, d
+        self.origins = (tuple(origin), tuple(o + s for o, s in zip(origin, shift)))
+        self.coefficients = (np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1)))
+        flat, size = [c.reshape(-1) for c in self.coefficients], m * (m + 1) - 1
+        self.windows = (flat[0][:size], flat[1][m + 2:m + 2 + size])
+        # A tile (p, q) meets B tile (p - er, q - ec) in that many cells, o entries further on.
+        rows, cols = ((d - s, s) for s in shift)
+        regions = [((1 - er) * (m + 1) + 1 - ec, rows[er] * cols[ec])
+                   for er in (0, 1) for ec in (0, 1) if rows[er] * cols[ec]]
+        self._aligned = ([(w, flat[1][o:o + size]) for o, w in regions],
+                         [(w, flat[0][m + 2 - o:m + 2 - o + size]) for o, w in regions])
+        # Scratch for one window-sized temporary, so a round allocates no array of that size.
+        self.scratch = np.empty(size)
+        self.deltas = np.zeros(len(marked.cells))
+        cell_rows, cell_cols = np.divmod(marked.indices(geometry), side)
+        self.marked_tiles = tuple(
+            ((cell_rows - o_r) % side // d + pad) * (m + 1) + (cell_cols - o_c) % side // d + pad
+            for (o_r, o_c), pad in zip(self.origins, (0, 1))
+        )
+        self.check_norm()
+
+    def overlaps(self, lattice: int) -> "list[tuple[int, np.ndarray]]":
+        """(cells, view) per overlap region of ``lattice`` (0 = A, 1 = B), aligned with its window:
+        each view holds the other lattice's tiles meeting these in ``cells`` cells, wrap refreshed."""
+        m = self.coefficients[0].shape[0] - 1
+        other = self.coefficients[1 - lattice]
+        pad, edge = (0, m) if lattice == 0 else (m, 0)
+        other[pad] = other[edge]
+        other[:, pad] = other[:, edge]
+        return self._aligned[lattice]
+
+    @property
+    def norm_squared(self) -> float:
+        # Each overlap region is constant at M + N; the marked cells add c on top.
+        m = self.coefficients[0].shape[0] - 1
+        total = 0.0
+        for cells, other in self.overlaps(0):
+            region = np.add(self.windows[0], other, out=self.scratch)
+            spare = region[m::m + 1]  # the spare column, not a tile
+            total += cells * (float(region @ region) - float(spare @ spare))
+        marked = self.marked_amplitudes(self.marked)
+        tile = marked - self.deltas
+        return total + float(marked @ marked - tile @ tile)
+
+    check_norm = GridState.check_norm
+
+    def marked_amplitudes(self, marked: MarkedSet) -> np.ndarray:
+        if marked != self.marked:
+            raise ValueError("a tile state holds only the marked set it was built with")
+        return self.deltas + sum(c.take(t) for c, t in zip(self.coefficients, self.marked_tiles))
+
+    def as_grid(self) -> np.ndarray:
+        """(L, L) amplitudes, materialized afresh."""
+        side, d = self.geometry.side, self.tile_side
+        lines = np.arange(side)
+        (ar, ac), (br, bc) = (((lines - o) % side // d for o in origin) for origin in self.origins)
+        grid = self.coefficients[0].take(ar, 0).take(ac, 1)
+        grid += self.coefficients[1].take(br + 1, 0).take(bc + 1, 1)
+        grid.reshape(-1)[self.marked.indices(self.geometry)] += self.deltas
+        return grid
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only flat copy of ``as_grid()``."""
+        values = self.as_grid().reshape(-1)
+        values.flags.writeable = False
+        return values
 
 
 def uniform_state(geometry: GridGeometry) -> GridState:
@@ -175,7 +282,7 @@ def basis_state(geometry: GridGeometry, cell: tuple[int, int]) -> GridState:
     return GridState(geometry, values)
 
 
-def marked_probability(state: GridState, marked: MarkedSet) -> float:
+def marked_probability(state: "GridState | TileState", marked: MarkedSet) -> float:
     """Born-rule probability of measuring any marked cell."""
-    picked = state.amplitudes[marked.indices(state.geometry)]
+    picked = state.marked_amplitudes(marked)
     return float(picked @ picked)

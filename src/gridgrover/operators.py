@@ -12,30 +12,32 @@ the mean is the diffusion of the one-tile tessellation,
 operators do not check the norm; the round loop in ``simulator`` does, once
 per round.
 
-Two sweep kernels apply the group diffusion.  General partitions (crosses,
-four corners, custom groups) go through one ``bincount`` of the amplitudes
-by group id and one gather of the doubled means.  Partitions of d x d tiles,
-aligned or shifted, share one tile kernel that reads the grid in place
-through strided slices and never rolls it (m = L/d tiles per axis):
+A run over two d x d tile lattices holds a ``grid.TileState`` and both
+operators update its tile coefficients, a = sum_x c_x e_x + up_A(M) +
+up_B(N), never the n amplitudes:
 
-1. sum the d rows of each tile row into an (m, L) array -- one read of the
-   state; the tile row that wraps around the torus is its two edge strips;
-2. on that array, sum each tile's d columns with d strided adds (the
-   wrapped tile again from two strips), scale to doubled means and spread
-   them back over an (m, L) array -- work on 1/d of the state;
-3. write ``2 * mean - a`` in place with one broadcast subtract over the
-   unwrapped tile rows and one per edge strip -- one read and one write.
+* oracle          -- c <- -c - 2 (M[A(x)] + N[B(x)]), that is a -> -a at
+  each marked cell x, O(K);
+* reflection on A -- M <- M + (2/d^2) (W N + scatter_A(c)), N <- -N,
+  c <- -c, where (W N)[t] sums the B tiles meeting A tile t weighted by the
+  cells they share; reflection on B is the mirror image.  W N is one
+  contiguous multiply-add per overlap region (at most four), O((L/d)^2).
 
-The state moves through memory about one and a half times, a copy of it
-("one memcpy") counting as one read and one write; no temporary is larger
-than (m, L).  At L = 1024, d = 4 a sweep measured 3-4 memcpy on a 2-vCPU
-Xeon virtual machine, the rest being the (m, L) passes and numpy's
-reduction overhead.
+Every other run holds a ``GridState``, the amplitude vector.  General
+partitions (crosses, four corners, custom groups) reflect it through one
+``bincount`` of the amplitudes by group id and one gather of the doubled
+means.  d x d tiles, aligned or shifted, share one kernel that never rolls
+the grid (m = L/d): it sums the d rows of each tile row into an (m, L)
+array, sums each tile's d columns there with strided adds, spreads the
+doubled means back over that array and writes ``2 * mean - a`` in place
+with broadcast subtracts; the tile row and column that wrap around the
+torus are two edge strips each.  That is about 1.5 memcpy of traffic (3-4
+measured at L = 1024 on a 2-vCPU Xeon virtual machine), and it stays the
+large-n reference that tests hold the coefficient path to.
 
 ``materialize_dense`` builds the n x n matrix of any operator directly from
-its defining formula, independent of the sweep kernels, so tests can compare
-the two routes.  The sweeps are the production path: O(n) per application
-and never materialized.
+its defining formula, independent of the kernels, so tests can compare the
+routes.  The kernels are the production path and never materialize it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridGeometry, GridState, MarkedSet
+from .grid import GridGeometry, GridState, MarkedSet, TileState
 from .tessellation import Partition, validate_partition
 
 __all__ = [
@@ -78,14 +80,19 @@ class DiffusionSpec:
             validate_partition(self.partition)
 
 
-def apply_oracle(state: GridState, spec: OracleSpec) -> GridState:
+def apply_oracle(state: "GridState | TileState", spec: OracleSpec) -> "GridState | TileState":
     """Negate marked amplitudes in place; everything else is untouched."""
+    if isinstance(state, TileState):
+        state.deltas -= 2.0 * state.marked_amplitudes(spec.marked)
+        return state
     idx = spec.marked.indices(state.geometry)
     state.amplitudes[idx] *= -1.0
     return state
 
 
-def apply_partition_diffusion(state: GridState, spec: DiffusionSpec) -> GridState:
+def apply_partition_diffusion(
+    state: "GridState | TileState", spec: DiffusionSpec
+) -> "GridState | TileState":
     """Reflect each group about its mean: a -> 2*mean(group) - a, in place."""
     partition = spec.partition
     if partition.geometry != state.geometry:
@@ -93,11 +100,30 @@ def apply_partition_diffusion(state: GridState, spec: DiffusionSpec) -> GridStat
             f"partition is for side {partition.geometry.side}, "
             f"state has side {state.geometry.side}"
         )
-    if partition.tile_side is not None:
+    if isinstance(state, TileState):
+        _coefficient_reflection(state, partition)
+    elif partition.tile_side is not None:
         _tile_sweep(state.as_grid(), partition.tile_side, partition.tile_shift)
     else:
         _group_sweep(state.amplitudes, partition)
     return state
+
+
+def _coefficient_reflection(state: TileState, partition: Partition) -> None:
+    """Reflect a ``TileState`` about the lattice of ``partition`` (see the module docstring)."""
+    d, shift = partition.tile_side, partition.tile_shift
+    lattice = next((k for k, origin in enumerate(state.origins) if d == state.tile_side
+                    and all((s - o) % d == 0 for s, o in zip(shift, origin))), None)
+    if lattice is None:
+        raise ValueError("partition is neither tile lattice of the tile state")
+    scale = 2.0 / (d * d)
+    tiles = state.windows[lattice]
+    for cells, other in state.overlaps(lattice):
+        tiles += np.multiply(other, scale * cells, out=state.scratch)
+    flat = state.coefficients[lattice].reshape(-1)
+    np.add.at(flat, state.marked_tiles[lattice], scale * state.deltas)
+    np.negative(state.coefficients[1 - lattice], out=state.coefficients[1 - lattice])
+    np.negative(state.deltas, out=state.deltas)
 
 
 def _tile_sweep(grid: np.ndarray, d: int, shift: tuple[int, int]) -> None:

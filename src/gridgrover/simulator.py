@@ -11,7 +11,10 @@ oracle-diffusion pairs per round.  Both toggles remain available.
 
 ``run`` and the complete-graph ``run_grover_reference`` differ only in the
 round they apply; one loop starts both from the uniform state, checks the
-norm once per round, and records probabilities, snapshots and costs.
+norm once per round (keeping the largest drift), and records probabilities,
+snapshots and costs.  ``run`` holds a ``TileState``, O((L/d)^2) a round,
+when both partitions are tile lattices with one tile side, as in every
+table run; other pairs and the Grover reference hold a ``GridState``.
 
 Cost accounting is nominal walk steps: 2*sqrt(n) once for building the
 initial superposition, then per round one step per oracle call plus each
@@ -32,6 +35,7 @@ from .grid import (
     GridGeometry,
     GridState,
     MarkedSet,
+    TileState,
     coord_of_index,
     marked_probability,
     normalize_coord,
@@ -159,7 +163,8 @@ class SimulationTrace:
     ``probabilities[k-1]`` is the probability after round k; the probability
     of the untouched initial state is ``initial_probability``.  Snapshots map
     iteration -> (L, L) amplitude copy.  ``per_cell_probabilities`` columns
-    follow ``marked_cells`` order.
+    follow ``marked_cells`` order.  ``max_norm_drift`` is the largest
+    |norm^2 - 1| the per-round norm check saw.
     """
 
     geometry: GridGeometry
@@ -171,38 +176,39 @@ class SimulationTrace:
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     peak: analysis.PeakSummary | None = None
+    max_norm_drift: float = 0.0
 
 
-def snapshot(state: GridState) -> np.ndarray:
+def snapshot(state: "GridState | TileState") -> np.ndarray:
     """Row-major (L, L) copy of the amplitudes; never aliases the run."""
     return state.as_grid().copy()
 
 
 def _iterate(
-    geometry: GridGeometry,
+    state: "GridState | TileState",
     marked: MarkedSet,
-    apply_round: Callable[[GridState], None],
+    apply_round: Callable[["GridState | TileState"], None],
     iterations: int,
     stride: int,
     per_round: CostCounters,
     initial_steps: int,
 ) -> SimulationTrace:
-    """The round loop: apply ``apply_round`` in place, check the norm, record.
+    """The round loop: apply ``apply_round`` to a uniform ``state`` in place, check the norm, record.
 
     ``per_round`` holds the counts one round adds; the totals and the
     cumulative step column follow from them.
     """
-    state = uniform_state(geometry)
+    geometry = state.geometry
     marked_cells = marked.normalized(geometry)
-    marked_idx = marked.indices(geometry)
     per_cell = np.empty((iterations, len(marked_cells)))
     snapshots: dict[int, np.ndarray] = {}
     initial = min(marked_probability(state, marked), 1.0)
+    max_drift = 0.0
 
     for iteration in range(1, iterations + 1):
         apply_round(state)
-        state.check_norm()
-        picked = state.amplitudes[marked_idx]
+        max_drift = max(max_drift, state.check_norm())
+        picked = state.marked_amplitudes(marked)
         per_cell[iteration - 1] = picked * picked
         if stride and iteration % stride == 0:
             snapshots[iteration] = snapshot(state)
@@ -224,6 +230,7 @@ def _iterate(
             nominal_steps=initial_steps + per_round.nominal_steps * iterations,
         ),
         peak=analysis.peak(probabilities),
+        max_norm_drift=max_drift,
     )
 
 
@@ -242,8 +249,14 @@ def run(config: RunConfig) -> SimulationTrace:
 
     oracles = config.steps.count(STEP_ORACLE)
     per_round = CostCounters(oracles, len(steps) - oracles, config.steps_per_iteration)
+    local, dispersion = config.local_partition, config.dispersion_partition
+    if local.tile_side is not None and local.tile_side == dispersion.tile_side:
+        state = TileState(config.geometry, config.marked, local.tile_side,
+                          local.tile_shift, dispersion.tile_shift)
+    else:
+        state = uniform_state(config.geometry)
     return _iterate(
-        config.geometry, config.marked, apply_round, config.max_iterations,
+        state, config.marked, apply_round, config.max_iterations,
         config.snapshot_stride, per_round, initial_steps=2 * config.geometry.side,
     )
 
@@ -287,4 +300,6 @@ def run_grover_reference(
         np.subtract(2.0 * a.mean(), a, out=a)
 
     per_round = CostCounters(oracle_calls=1, diffusion_applications=1, nominal_steps=2)
-    return _iterate(geometry, marked, apply_round, iterations, snapshot_stride, per_round, 0)
+    return _iterate(
+        uniform_state(geometry), marked, apply_round, iterations, snapshot_stride, per_round, 0
+    )

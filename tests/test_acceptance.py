@@ -18,12 +18,15 @@ from gridgrover import (
     OracleSpec,
     REFERENCE_PEAKS,
     RunConfig,
+    TableReport,
+    TableRow,
     apply_oracle,
     apply_partition_diffusion,
     bin_index,
     first_crest,
     materialize_dense,
     multi_marked_summary,
+    reference_peak,
     run,
     run_grover_reference,
     scaling_fit,
@@ -71,6 +74,32 @@ def test_criterion_1_table_reproduction(table):
     print(table.render())
     assert not failures, [f"n={r.n}" for r in failures]
     assert len(ltr_rows(table)) == 7
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [262144, 1048576, 4194304])
+def test_criterion_1_large_rows(n):
+    # The three rows past the default table, each run to its reference crest plus eight rounds.
+    reference_amplitude, reference_pairs = reference_peak(n)
+    started = time.perf_counter()
+    trace = run(RunConfig(GridGeometry(math.isqrt(n)), max_iterations=reference_pairs // 2 + 8))
+    elapsed = time.perf_counter() - started
+    crest = first_crest(trace)
+    row = TableRow(
+        n=n, order="ltr", amplitude=crest.amplitude, crest_round=crest.iteration,
+        trace_max_amplitude=trace.peak.amplitude, trace_max_iteration=trace.peak.iteration,
+        reference_amplitude=reference_amplitude, reference_iterations=reference_pairs,
+    )
+    ok = f"{row.amplitude:.4f}" == f"{reference_amplitude:.4f}" and row.pair_count == reference_pairs
+    report(
+        f"1 table row n={n}",
+        ok,
+        f"crest {row.amplitude:.4f} at {row.pair_count} pairs, reference "
+        f"{reference_amplitude:.4f} at {reference_pairs} (exact at 4 dp), runtime {elapsed:.1f}s",
+    )
+    print(TableReport(rows=[row]).render())
+    assert f"{row.amplitude:.4f}" == f"{reference_amplitude:.4f}"
+    assert row.pair_count == reference_pairs
 
 
 def test_criterion_2_scaling_exponent(table):

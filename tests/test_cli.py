@@ -108,7 +108,7 @@ def test_grover_subcommand(tmp_path, capsys):
 
 
 def test_grover_honours_the_emit_flags(tmp_path):
-    base = "L = 8\nmax_iters = 6\nsnapshot_stride = 2\n"
+    base = "L = 8\nmax_iters = 6\n"
     quiet = write_config(tmp_path, base + "emit_trace = false\nemit_snapshots = false\n")
     for command in ("run", "grover"):
         out = tmp_path / f"quiet_{command}"
@@ -116,7 +116,8 @@ def test_grover_honours_the_emit_flags(tmp_path):
         assert not [p.name for p in out.rglob("*.csv")], command
 
     loud = write_config(
-        tmp_path, base + "emit_snapshots = true\nemit_heatmaps = true\nemit_partition = true\n"
+        tmp_path,
+        base + "snapshot_stride = 2\nemit_snapshots = true\nemit_heatmaps = true\nemit_partition = true\n",
     )
     out = tmp_path / "loud"
     assert main(["grover", "--config", str(loud), "--out", str(out)]) == 0
@@ -143,6 +144,17 @@ def test_config_errors_exit_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "3 does not divide 20" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "grover"])
+def test_snapshots_without_an_emitter_exit_nonzero(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "L = 8\nmax_iters = 4\n")
+    out = tmp_path / "results"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--snapshots", "2"]) == 1
+    assert "snapshot_stride: stored grids are read only by emit_snapshots or emit_heatmaps" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -101,14 +101,22 @@ def test_heatmaps_require_a_snapshot_stride():
 
 
 def test_grids_are_stored_only_for_the_emitters(tmp_path):
-    # A stride with neither snapshots nor heatmaps emitted stores nothing.
-    quiet = parse_config("L = 16\nsnapshot_stride = 1\nemit_trace = false\n")
+    # Grids are stored only for the snapshot and heatmap emitters; a stride without either is refused.
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 16\nsnapshot_stride = 1\nemit_trace = false\n")
+    assert err.value.violations == (
+        "snapshot_stride: stored grids are read only by emit_snapshots or emit_heatmaps; "
+        "set one of them or use 0",
+    )
+    quiet = parse_config("L = 16\nemit_trace = false\n")
+    with pytest.raises(ConfigError):
+        quiet.with_overrides(snapshot_stride=2)
     ((_label, build),) = quiet.sweep_points()
     assert build().snapshot_stride == 0
     (point,) = run_experiment(quiet, tmp_path).points
     assert point.trace.snapshots == {}
     for emit in ("emit_snapshots", "emit_heatmaps"):
-        ((_label, build),) = dataclasses.replace(quiet, **{emit: True}).sweep_points()
+        ((_label, build),) = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True}).sweep_points()
         assert build().snapshot_stride == 1, emit
 
 
@@ -152,7 +160,7 @@ def test_sweep_marked_placements():
 
 
 def test_with_overrides_revalidates():
-    config = parse_config("L = 8\n")
+    config = parse_config("L = 8\nemit_heatmaps = true\nsnapshot_stride = 1\n")
     bumped = config.with_overrides(order="rtl", snapshot_stride=2, max_iterations=9)
     assert (bumped.order, bumped.snapshot_stride, bumped.max_iterations) == ("rtl", 2, 9)
     with pytest.raises(ConfigError):
@@ -326,8 +334,16 @@ def _outcome(parse, text):
 @example("L = 20\nd = 3\ntessellation = cross")
 @example("L = 8\nsweep_n = 36\nsweep_d = 2")
 @example("L = 10\nmarked = 0,0,8,8\nsweep_n = 64")
+@example("L = 8\nsnapshot_stride = 2")
 def test_parser_matches_the_previous_parser(text):
     new, old = _outcome(parse_config, text), _outcome(reference_config.parse_config, text)
+    if isinstance(new, tuple) and isinstance(old, dict):
+        # A stride with neither emitter is now refused; the previous parser accepted it
+        # and the run dropped the stride.  That is the only rule the new parser adds.
+        assert all(violation.startswith("snapshot_stride: stored grids") for violation in new)
+        assert old["snapshot_stride"] >= 1
+        assert not (old["emit_snapshots"] or old["emit_heatmaps"])
+        return
     if isinstance(new, tuple) or isinstance(old, dict):
         # Both reject, or both accept and build equal configs.
         assert new == old if isinstance(new, dict) else isinstance(old, tuple)

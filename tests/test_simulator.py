@@ -3,15 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgrover import (
     DiffusionSpec,
     GridGeometry,
+    GridState,
     MarkedSet,
     NormDriftError,
     OracleSpec,
     RunConfig,
+    TileState,
+    apply_oracle,
+    apply_partition_diffusion,
     cross_partition,
+    custom_partition,
     default_horizon,
     default_marked_cell,
     first_crest,
@@ -19,8 +25,10 @@ from gridgrover import (
     peak,
     run,
     run_grover_reference,
+    shifted_square_partition,
     snapshot,
     square_partition,
+    translate_partition,
     uniform_state,
 )
 from gridgrover import simulator
@@ -242,30 +250,69 @@ def test_final_state_norm_survives_a_long_run():
     assert np.all(trace.probabilities >= 0) and np.all(trace.probabilities <= 1)
 
 
-def test_run_raises_on_norm_drift(monkeypatch):
+def _scale_state(state, factor):
+    """Multiply the state's own data by ``factor``: the vector, or every tile coefficient and delta."""
+    if isinstance(state, TileState):
+        for data in (*state.coefficients, state.deltas):
+            data *= factor
+    else:
+        state.amplitudes *= factor
+
+
+def _poison_state(state):
+    """Write a NaN into the state's own data."""
+    (state.deltas if isinstance(state, TileState) else state.amplitudes)[0] = np.nan
+
+
+# Two tile lattices run on TileState; a cross local diffusion keeps GridState.
+STATE_KINDS = {
+    "tile": (TileState, lambda g: RunConfig(g)),
+    "grid": (GridState, lambda g: RunConfig(g, local_partition=cross_partition(g))),
+}
+
+
+def _run_with_faulty_oracle(monkeypatch, fault):
+    """Run each state kind with ``fault`` applied to the state's own data after every oracle."""
     real_oracle = simulator.apply_oracle
+    for state_type, make_config in STATE_KINDS.values():
 
-    def leaky_oracle(state, spec):
-        real_oracle(state, spec)
-        state.amplitudes *= 1.0 + 1e-6
-        return state
+        def faulty_oracle(state, spec):
+            assert type(state) is state_type
+            real_oracle(state, spec)
+            fault(state)
+            return state
 
-    monkeypatch.setattr(simulator, "apply_oracle", leaky_oracle)
-    with pytest.raises(NormDriftError):
-        run(RunConfig(GridGeometry(8)))
+        monkeypatch.setattr(simulator, "apply_oracle", faulty_oracle)
+        with pytest.raises(NormDriftError):
+            run(make_config(GridGeometry(20)))
+
+
+def test_run_raises_on_norm_drift(monkeypatch):
+    _run_with_faulty_oracle(monkeypatch, lambda state: _scale_state(state, 1.0 + 1e-6))
 
 
 def test_run_raises_on_nan(monkeypatch):
-    real_oracle = simulator.apply_oracle
+    _run_with_faulty_oracle(monkeypatch, _poison_state)
 
-    def nan_oracle(state, spec):
-        real_oracle(state, spec)
-        state.amplitudes[0] = np.nan
-        return state
 
-    monkeypatch.setattr(simulator, "apply_oracle", nan_oracle)
-    with pytest.raises(NormDriftError):
-        run(RunConfig(GridGeometry(8)))
+@pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+def test_trace_keeps_the_largest_norm_drift(monkeypatch, kind):
+    state_type, make_config = STATE_KINDS[kind]
+    config = make_config(GridGeometry(20))
+    drifts = []
+    real_check = state_type.check_norm
+
+    def recording_check(state, *args):
+        drifts.append(real_check(state, *args))
+        return drifts[-1]
+
+    monkeypatch.setattr(state_type, "check_norm", recording_check)
+    trace = run(config)
+    # The construction check comes first; the rest are the 80 per-round checks.
+    per_round = drifts[1:]
+    assert len(per_round) == config.max_iterations == 80
+    assert trace.max_norm_drift == max(per_round) <= 1e-9
+    assert trace.max_norm_drift > 0.0
 
 
 def test_run_never_builds_coord_groups():
@@ -290,3 +337,116 @@ def test_default_run_setup_allocates_no_grid_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak_bytes < 2**20
+
+
+def test_tile_run_allocates_no_grid_sized_array():
+    # Two tile lattices run on their (L/d)^2 tile coefficients: at L = 2048 the
+    # whole run stays under half of one 32 MiB state vector.
+    tracemalloc.start()
+    try:
+        run(RunConfig(GridGeometry(2048), max_iterations=4))
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 16 * 2**20
+
+
+def test_run_picks_the_state_by_partition_pair(monkeypatch):
+    kinds = []
+    real_iterate = simulator._iterate
+
+    def recording_iterate(state, *args, **kwargs):
+        kinds.append(type(state))
+        return real_iterate(state, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_iterate", recording_iterate)
+    g = GridGeometry(20)
+    run(RunConfig(g, max_iterations=2))
+    run(RunConfig(g, dispersion_partition=square_partition(g, 4), max_iterations=2))
+    run(RunConfig(g, local_partition=cross_partition(g), max_iterations=2))
+    run(RunConfig(g, local_partition=square_partition(g, 2), max_iterations=2))
+    assert kinds == [TileState, TileState, GridState, GridState]
+
+
+def test_tile_state_rejects_foreign_operators():
+    g = GridGeometry(8)
+    config = RunConfig(g)
+    state = TileState(g, config.marked, 4, (0, 0), (2, 2))
+    with pytest.raises(ValueError, match="marked set"):
+        apply_oracle(state, OracleSpec(MarkedSet.of((1, 1))))
+    for partition in (
+        translate_partition(config.local_partition, (1, 0)),
+        square_partition(g, 2),
+        custom_partition(g, [[(i, j) for i in range(8) for j in range(8)]]),
+    ):
+        with pytest.raises(ValueError, match="neither tile lattice"):
+            apply_partition_diffusion(state, DiffusionSpec(partition))
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 1.0
+
+
+def grid_state_rounds(config):
+    """Yield the GridState after each round of ``config``, applied by the per-operator kernels."""
+    state = uniform_state(config.geometry)
+    steps = {
+        STEP_ORACLE: (apply_oracle, OracleSpec(config.marked)),
+        STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
+        STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
+    }
+    for _ in range(config.max_iterations):
+        for step in config.steps:
+            apply, spec = steps[step]
+            apply(state, spec)
+        yield state
+
+
+def assert_tile_run_matches_grid_state(config, tolerance=1e-12):
+    """run() (on TileState) against GridState: probabilities, per-cell probabilities, snapshots."""
+    trace = run(config)
+    idx = config.marked.indices(config.geometry)
+    for k, state in enumerate(grid_state_rounds(config), start=1):
+        per_cell = state.amplitudes[idx] ** 2
+        assert np.max(np.abs(trace.per_cell_probabilities[k - 1] - per_cell)) <= tolerance, k
+        assert abs(trace.probabilities[k - 1] - min(per_cell.sum(), 1.0)) <= tolerance, k
+        if k in trace.snapshots:
+            assert np.max(np.abs(trace.snapshots[k] - state.as_grid())) <= tolerance, k
+    return trace
+
+
+@st.composite
+def tile_run_configs(draw):
+    side = draw(st.integers(2, 24))
+    d = draw(st.sampled_from([k for k in range(1, side + 1) if side % k == 0]))
+    g = GridGeometry(side)
+    offsets = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    local = translate_partition(square_partition(g, d), draw(offsets))
+    if draw(st.booleans()):
+        dispersion = local
+    else:
+        dispersion = translate_partition(shifted_square_partition(g, d), draw(offsets))
+    # Tile corners of either lattice and the torus wrap, plus unwrapped coordinates.
+    lines = sorted({0, side - 1, d - 1, d % side, *(s % side for s in (*local.tile_shift, *dispersion.tile_shift))})
+    coordinate = st.sampled_from(lines) | st.integers(-side, 2 * side - 1)
+    cells = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=min(4, side * side),
+                          unique_by=lambda c: (c[0] % side, c[1] % side)))
+    return RunConfig(
+        g, marked=MarkedSet.of(*cells), local_partition=local, dispersion_partition=dispersion,
+        order=draw(st.sampled_from(("ltr", "rtl"))), max_iterations=draw(st.integers(1, 40)),
+        snapshot_stride=1,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tile_run_configs())
+def test_tile_state_matches_grid_state(config):
+    assert_tile_run_matches_grid_state(config)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("side,rounds", [(1024, 640), (256, 2000)])
+def test_tile_state_matches_grid_state_on_long_runs(side, rounds):
+    # The coefficients grow about linearly with the rounds (a few hundred times the
+    # uniform amplitude after 2000); the agreement must hold all the same.
+    config = RunConfig(GridGeometry(side), max_iterations=rounds, snapshot_stride=rounds)
+    trace = assert_tile_run_matches_grid_state(config)
+    assert sorted(trace.snapshots) == [rounds]
