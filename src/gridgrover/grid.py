@@ -185,13 +185,14 @@ class TileState:
     A's tile (p, q) covers rows o_r + p*d + [0, d) and columns o_c + q*d +
     [0, d), o = ``origins[0]``; B's is moved by the lattices' relative shift
     s in [0, d) per axis, so per axis A tile p meets B tiles p and p - 1 in
-    d - s and s lines.  ``coefficients`` are two (m + 1)^2 arrays, m = L/d:
-    M in [:m, :m], N in [1:, 1:], the spare row and column repeating the
-    opposite edge (the torus wrap).  Each lattice's tiles then lie in one
-    flat ``windows`` slice, spare entries included, and the other lattice's
-    tiles of each overlap region in a slice at a fixed offset: every
-    per-round pass is one contiguous 1-D operation.  ``deltas`` holds c in
-    sorted cell order, ``marked_tiles`` each marked cell's tile in either array.
+    d - s and s lines.  ``coefficients`` are two (m + 1)^2 arrays, m = L/d,
+    in one stacked buffer: M in [:m, :m], N in [1:, 1:], the spare row and
+    column repeating the opposite edge (the torus wrap), and lattice k is
+    ``signs[k] * coefficients[k]``.  Each lattice's tiles lie in one flat
+    window, the other's tiles of each overlap region in a slice at a fixed
+    offset: every pass is contiguous and 1-D, and one more window-sized
+    buffer serves the overlap product and the norm.  ``deltas`` holds c in
+    sorted cell order, ``marked_tiles`` each marked cell's tile per lattice.
     """
 
     def __init__(self, geometry: GridGeometry, marked: MarkedSet, tile_side: int,
@@ -202,43 +203,57 @@ class TileState:
         shift = [(s - o) % d for s, o in zip(dispersion_shift, origin)]
         self.geometry, self.marked, self.tile_side = geometry, marked, d
         self.origins = (tuple(origin), tuple(o + s for o, s in zip(origin, shift)))
-        self.coefficients = (np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1)))
-        flat, size = [c.reshape(-1) for c in self.coefficients], m * (m + 1) - 1
-        self.windows = (flat[0][:size], flat[1][m + 2:m + 2 + size])
-        # A tile (p, q) meets B tile (p - er, q - ec) in that many cells, o entries further on.
+        # (d, origin mod d) -> lattice; identical lattices reflect about A, written last.
+        self._lattices = {(d, tuple(o % d for o in self.origins[k])): k for k in (1, 0)}
+        stack = np.stack([np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1))])
+        self.coefficients, self.signs = tuple(stack), np.ones(2)
+        self._flat, (a, b), size = stack.reshape(-1), stack.reshape(2, -1), m * (m + 1) - 1
+        self._buffer = np.empty((m + 1) ** 2 - 1)
+        head, tail = self._buffer[m + 1:], self._buffer[:size]
+        # A tile (p, q) meets B tile (p - er, q - ec) in rows[er] * cols[ec] cells, so with
+        # T = X[ec = 0] + (c1/c0) X[ec = 1], W X = r0 c0 (T[er = 0] + (r1/r0) T[er = 1]).
         rows, cols = ((d - s, s) for s in shift)
-        regions = [((1 - er) * (m + 1) + 1 - ec, rows[er] * cols[ec])
-                   for er in (0, 1) for ec in (0, 1) if rows[er] * cols[ec]]
-        self._aligned = ([(w, flat[1][o:o + size]) for o, w in regions],
-                         [(w, flat[0][m + 2 - o:m + 2 - o + size]) for o, w in regions])
-        # Scratch for one window-sized temporary, so a round allocates no array of that size.
-        self.scratch = np.empty(size)
+        self._scale = 2.0 / (d * d)
+        self._taps = (self._scale * rows[0] * cols[0], cols[1] / cols[0], rows[1] / rows[0])
+        # Per lattice: its window; the other's ec = 0 and ec = 1 taps; T at er = 0 and er = 1.
+        self._passes = ((a[:size], b[1:], b[:-1], head, tail),
+                        (b[m + 2:], a[:-1], a[1:], tail, head))
+        # The norm's overlap regions, aligned with A's window, and its spare column there.
+        self._regions = [(rows[er] * cols[ec], b[o:o + size]) for er in (0, 1) for ec in (0, 1)
+                         if rows[er] * cols[ec] for o in [(1 - er) * (m + 1) + 1 - ec]]
+        self._region, self._spare = tail, tail[m::m + 1]
         self.deltas = np.zeros(len(marked.cells))
         cell_rows, cell_cols = np.divmod(marked.indices(geometry), side)
-        self.marked_tiles = tuple(
-            ((cell_rows - o_r) % side // d + pad) * (m + 1) + (cell_cols - o_c) % side // d + pad
-            for (o_r, o_c), pad in zip(self.origins, (0, 1))
-        )
+        self.marked_tiles = np.stack([((k * (m + 1) + (cell_rows - o_r) % side // d + k) * (m + 1)
+                                       + (cell_cols - o_c) % side // d + k)
+                                      for k, (o_r, o_c) in enumerate(self.origins)])
         self.check_norm()
 
-    def overlaps(self, lattice: int) -> "list[tuple[int, np.ndarray]]":
-        """(cells, view) per overlap region of ``lattice`` (0 = A, 1 = B), aligned with its window:
-        each view holds the other lattice's tiles meeting these in ``cells`` cells, wrap refreshed."""
-        m = self.coefficients[0].shape[0] - 1
-        other = self.coefficients[1 - lattice]
-        pad, edge = (0, m) if lattice == 0 else (m, 0)
-        other[pad] = other[edge]
-        other[:, pad] = other[:, edge]
-        return self._aligned[lattice]
+    def _reflect(self, tile_side: int, shift: tuple[int, int]) -> None:
+        """2P - I about one of the two lattices (the ``operators`` docstring has the update)."""
+        k = self._lattices.get((tile_side, (shift[0] % self.tile_side, shift[1] % self.tile_side)))
+        if k is None:
+            raise ValueError("partition is neither tile lattice of the tile state")
+        (window, tap0, tap1, at0, at1), (kappa, col_ratio, row_ratio) = self._passes[k], self._taps
+        np.multiply(tap1, col_ratio, out=self._buffer)
+        self._buffer += tap0
+        self._buffer *= kappa * self.signs[0] * self.signs[1]
+        window += at0
+        at1 *= row_ratio
+        window += at1
+        np.add.at(self._flat, self.marked_tiles[k], (self._scale * self.signs[k]) * self.deltas)
+        own, pad, edge = self.coefficients[k], k - 1, -k  # A's spares copy line 0, B's line m
+        own[pad], own[:, pad] = own[edge], own[:, edge]
+        self.signs[1 - k] *= -1.0
+        np.negative(self.deltas, out=self.deltas)
 
     @property
     def norm_squared(self) -> float:
         # Each overlap region is constant at M + N; the marked cells add c on top.
-        m = self.coefficients[0].shape[0] - 1
-        total = 0.0
-        for cells, other in self.overlaps(0):
-            region = np.add(self.windows[0], other, out=self.scratch)
-            spare = region[m::m + 1]  # the spare column, not a tile
+        combine = np.add if self.signs[0] == self.signs[1] else np.subtract
+        region, spare, total = self._region, self._spare, 0.0
+        for cells, other in self._regions:
+            combine(self._passes[0][0], other, out=region)
             total += cells * (float(region @ region) - float(spare @ spare))
         marked = self.marked_amplitudes(self.marked)
         tile = marked - self.deltas
@@ -249,15 +264,15 @@ class TileState:
     def marked_amplitudes(self, marked: MarkedSet) -> np.ndarray:
         if marked != self.marked:
             raise ValueError("a tile state holds only the marked set it was built with")
-        return self.deltas + sum(c.take(t) for c, t in zip(self.coefficients, self.marked_tiles))
+        return self.signs @ self._flat.take(self.marked_tiles) + self.deltas
 
     def as_grid(self) -> np.ndarray:
         """(L, L) amplitudes, materialized afresh."""
         side, d = self.geometry.side, self.tile_side
         lines = np.arange(side)
         (ar, ac), (br, bc) = (((lines - o) % side // d for o in origin) for origin in self.origins)
-        grid = self.coefficients[0].take(ar, 0).take(ac, 1)
-        grid += self.coefficients[1].take(br + 1, 0).take(bc + 1, 1)
+        grid = (self.signs[0] * self.coefficients[0]).take(ar, 0).take(ac, 1)
+        grid += (self.signs[1] * self.coefficients[1]).take(br + 1, 0).take(bc + 1, 1)
         grid.reshape(-1)[self.marked.indices(self.geometry)] += self.deltas
         return grid
 

@@ -20,8 +20,10 @@ up_B(N), never the n amplitudes:
   each marked cell x, O(K);
 * reflection on A -- M <- M + (2/d^2) (W N + scatter_A(c)), N <- -N,
   c <- -c, where (W N)[t] sums the B tiles meeting A tile t weighted by the
-  cells they share; reflection on B is the mirror image.  W N is one
-  contiguous multiply-add per overlap region (at most four), O((L/d)^2).
+  cells they share; reflection on B is the mirror image.  N <- -N flips
+  the sign the state keeps for N.  Tiles overlap in d - s or s lines per
+  axis, s the lattices' relative shift, so W N is a two-tap sum along the
+  columns into the state's one spare buffer, then along the rows into M.
 
 Every other run holds a ``GridState``, the amplitude vector.  General
 partitions (crosses, four corners, custom groups) reflect it through one
@@ -101,29 +103,12 @@ def apply_partition_diffusion(
             f"state has side {state.geometry.side}"
         )
     if isinstance(state, TileState):
-        _coefficient_reflection(state, partition)
+        state._reflect(partition.tile_side, partition.tile_shift)
     elif partition.tile_side is not None:
         _tile_sweep(state.as_grid(), partition.tile_side, partition.tile_shift)
     else:
         _group_sweep(state.amplitudes, partition)
     return state
-
-
-def _coefficient_reflection(state: TileState, partition: Partition) -> None:
-    """Reflect a ``TileState`` about the lattice of ``partition`` (see the module docstring)."""
-    d, shift = partition.tile_side, partition.tile_shift
-    lattice = next((k for k, origin in enumerate(state.origins) if d == state.tile_side
-                    and all((s - o) % d == 0 for s, o in zip(shift, origin))), None)
-    if lattice is None:
-        raise ValueError("partition is neither tile lattice of the tile state")
-    scale = 2.0 / (d * d)
-    tiles = state.windows[lattice]
-    for cells, other in state.overlaps(lattice):
-        tiles += np.multiply(other, scale * cells, out=state.scratch)
-    flat = state.coefficients[lattice].reshape(-1)
-    np.add.at(flat, state.marked_tiles[lattice], scale * state.deltas)
-    np.negative(state.coefficients[1 - lattice], out=state.coefficients[1 - lattice])
-    np.negative(state.deltas, out=state.deltas)
 
 
 def _tile_sweep(grid: np.ndarray, d: int, shift: tuple[int, int]) -> None:

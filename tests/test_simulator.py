@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridgrover import (
     DiffusionSpec,
@@ -385,14 +385,25 @@ def test_tile_state_rejects_foreign_operators():
         state.amplitudes[0] = 1.0
 
 
-def grid_state_rounds(config):
-    """Yield the GridState after each round of ``config``, applied by the per-operator kernels."""
-    state = uniform_state(config.geometry)
-    steps = {
+def operators_of(config):
+    """Step name -> (apply, spec) for the three operators of ``config``."""
+    return {
         STEP_ORACLE: (apply_oracle, OracleSpec(config.marked)),
         STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
         STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
     }
+
+
+def tile_state_of(config):
+    local, dispersion = config.local_partition, config.dispersion_partition
+    return TileState(config.geometry, config.marked, local.tile_side, local.tile_shift,
+                     dispersion.tile_shift)
+
+
+def grid_state_rounds(config):
+    """Yield the GridState after each round of ``config``, applied by the per-operator kernels."""
+    state = uniform_state(config.geometry)
+    steps = operators_of(config)
     for _ in range(config.max_iterations):
         for step in config.steps:
             apply, spec = steps[step]
@@ -436,10 +447,89 @@ def tile_run_configs(draw):
     )
 
 
+def lattice_config(side, d, local_shift, dispersion_shift, cells, order="ltr", rounds=12):
+    """Two square lattices of tile side ``d`` at the given shifts, every round snapshotted."""
+    g = GridGeometry(side)
+    return RunConfig(
+        g, marked=MarkedSet.of(*cells), order=order, max_iterations=rounds, snapshot_stride=1,
+        local_partition=translate_partition(square_partition(g, d), local_shift),
+        dispersion_partition=translate_partition(square_partition(g, d), dispersion_shift),
+    )
+
+
+# Relative shift (0, s) and (s, 0), where one tap weight of the overlap product is 0;
+# identical lattices; d = 1, d = L and L = 2.
+EDGE_CASE_CONFIGS = [
+    lattice_config(12, 4, (1, 1), (1, 3), [(5, 6), (5, 7), (0, 11)]),
+    lattice_config(12, 4, (0, 0), (3, 0), [(3, 3)], order="rtl"),
+    lattice_config(8, 4, (2, 1), (2, 1), [(2, 1), (7, 7)]),
+    lattice_config(6, 1, (0, 0), (3, 1), [(2, 3)]),
+    lattice_config(6, 6, (1, 2), (4, 5), [(0, 0), (5, 5)], order="rtl"),
+    lattice_config(2, 2, (0, 0), (1, 1), [(1, 0)]),
+    lattice_config(2, 1, (0, 0), (0, 0), [(0, 1), (1, 1)]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(tile_run_configs())
+@example(EDGE_CASE_CONFIGS[0])
+@example(EDGE_CASE_CONFIGS[1])
+@example(EDGE_CASE_CONFIGS[2])
+@example(EDGE_CASE_CONFIGS[3])
+@example(EDGE_CASE_CONFIGS[4])
+@example(EDGE_CASE_CONFIGS[5])
+@example(EDGE_CASE_CONFIGS[6])
 def test_tile_state_matches_grid_state(config):
     assert_tile_run_matches_grid_state(config)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tile_run_configs(),
+       st.lists(st.sampled_from((STEP_ORACLE, STEP_LOCAL, STEP_DISPERSION)), min_size=1, max_size=9))
+@example(EDGE_CASE_CONFIGS[0], list(EDGE_CASE_CONFIGS[0].steps))
+@example(EDGE_CASE_CONFIGS[1], list(EDGE_CASE_CONFIGS[1].steps))
+@example(EDGE_CASE_CONFIGS[0], [STEP_LOCAL, STEP_LOCAL])
+@example(EDGE_CASE_CONFIGS[1], [STEP_ORACLE, STEP_DISPERSION, STEP_LOCAL, STEP_LOCAL, STEP_ORACLE])
+def test_tile_state_matches_grid_state_after_every_operator(config, sequence):
+    # A sign slip in one reflection can cancel out by the end of a round, so compare
+    # the reads of both states after every single operator.
+    tile, grid, steps = tile_state_of(config), uniform_state(config.geometry), operators_of(config)
+    history = [grid.as_grid().copy()]
+    for k, step in enumerate(sequence):
+        apply, spec = steps[step]
+        apply(tile, spec)
+        apply(grid, spec)
+        assert np.max(np.abs(tile.as_grid() - grid.as_grid())) <= 1e-12, k
+        picked = tile.marked_amplitudes(config.marked) - grid.marked_amplitudes(config.marked)
+        assert np.max(np.abs(picked)) <= 1e-12, k
+        assert abs(tile.norm_squared - grid.norm_squared) <= 1e-12, k
+        history.append(grid.as_grid().copy())
+        if k and step == sequence[k - 1]:
+            # Every operator is an involution: applied twice in a row it is the identity.
+            assert np.max(np.abs(tile.as_grid() - history[-3])) <= 1e-12, k
+
+
+def test_tile_rounds_allocate_no_window_sized_array():
+    # At L = 1024 and d = 4 the two coefficient arrays and the one buffer hold 528 KB
+    # each and fit a 2 MiB L2 together; a window-sized temporary in a round would not.
+    config = RunConfig(GridGeometry(1024))
+    state, steps = tile_state_of(config), [operators_of(config)[step] for step in config.steps]
+
+    def rounds(count):
+        for _ in range(count):
+            for apply, spec in steps:
+                apply(state, spec)
+            state.check_norm()
+            state.marked_amplitudes(config.marked)
+
+    rounds(1)
+    tracemalloc.start()
+    try:
+        rounds(8)
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 64 * 2**10
 
 
 @pytest.mark.slow
