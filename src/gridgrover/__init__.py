@@ -35,20 +35,13 @@ from .grid import (
     MarkedSet,
     NormDriftError,
     TileState,
-    basis_state,
     cell_index,
     coord_of_index,
     marked_probability,
     normalize_coord,
     uniform_state,
 )
-from .operators import (
-    DiffusionSpec,
-    OracleSpec,
-    apply_oracle,
-    apply_partition_diffusion,
-    materialize_dense,
-)
+from .operators import DiffusionSpec, apply_oracle, apply_partition_diffusion
 from .outputs import (
     bin_index,
     emit_heatmap,

@@ -11,16 +11,20 @@ throughput relative to a complex state.
 
 A run holds one of two states: ``GridState``, the amplitude vector, or
 ``TileState``, a run over two d x d tile lattices held by one coefficient
-per tile and one delta per marked cell.  Both answer the same reads: the
-norm, the marked amplitudes and the (L, L) grid.
+per tile and one delta per marked cell, built from the marked set and the
+two tile partitions.  Both answer the same reads: the norm, the marked
+amplitudes and the (L, L) grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tessellation import Partition
 
 __all__ = [
     "NORM_ATOL",
@@ -30,7 +34,6 @@ __all__ = [
     "MarkedSet",
     "NormDriftError",
     "TileState",
-    "basis_state",
     "cell_index",
     "coord_of_index",
     "marked_probability",
@@ -128,8 +131,8 @@ class GridState:
     """Real amplitude per cell, unit Euclidean norm.
 
     The amplitude vector is owned by the state and mutated in place by
-    operator applications; snapshots copy.  Construction validates length,
-    realness and normalization.
+    operator applications; snapshots copy.  Construction copies the values
+    and validates length, realness and normalization.
     """
 
     geometry: GridGeometry
@@ -150,12 +153,12 @@ class GridState:
     def norm_squared(self) -> float:
         return float(self.amplitudes @ self.amplitudes)
 
-    def check_norm(self, atol: float = NORM_ATOL) -> float:
-        """The drift |norm^2 - 1|; raises ``NormDriftError`` above ``atol``."""
+    def check_norm(self) -> float:
+        """The drift |norm^2 - 1|; raises ``NormDriftError`` above ``NORM_ATOL``."""
         drift = abs(self.norm_squared - 1.0)
         # Written so that a NaN drift fails too.
-        if not drift <= atol:
-            raise NormDriftError(f"state norm drifted by {drift:.3e} (> {atol:.1e})")
+        if not drift <= NORM_ATOL:
+            raise NormDriftError(f"state norm drifted by {drift:.3e} (> {NORM_ATOL:.1e})")
         return drift
 
     def marked_amplitudes(self, marked: MarkedSet) -> np.ndarray:
@@ -166,18 +169,13 @@ class GridState:
         side = self.geometry.side
         return self.amplitudes.reshape(side, side)
 
-    def copy(self) -> "GridState":
-        return GridState(self.geometry, self.amplitudes)
-
-    def amplitude(self, cell: tuple[int, int]) -> float:
-        return float(self.amplitudes[cell_index(self.geometry, cell)])
-
 
 class TileState:
     """The uniform state of a run over two d x d tile lattices, as tile coefficients.
 
-    From the uniform start the oracle and the reflections about the local
-    lattice A and the dispersion lattice B keep the amplitudes at
+    From the uniform start the oracle and the reflections about the tile
+    partitions ``local`` (lattice A) and ``dispersion`` (B), of one side d on
+    one grid, keep the amplitudes at
     a = sum_x c_x e_x + up_A(M) + up_B(N): one coefficient per tile of each
     lattice (up_A(M) puts M[t] on every cell of tile t) and one delta per
     marked cell, so a round costs O((L/d)^2 + K) instead of O(n).
@@ -195,12 +193,13 @@ class TileState:
     sorted cell order, ``marked_tiles`` each marked cell's tile per lattice.
     """
 
-    def __init__(self, geometry: GridGeometry, marked: MarkedSet, tile_side: int,
-                 local_shift: tuple[int, int], dispersion_shift: tuple[int, int]):
-        side, d = geometry.side, tile_side
-        m = side // d
-        origin = [s % d for s in local_shift]
-        shift = [(s - o) % d for s, o in zip(dispersion_shift, origin)]
+    def __init__(self, marked: MarkedSet, local: "Partition", dispersion: "Partition"):
+        geometry, d = local.geometry, local.tile_side
+        if d is None or dispersion.tile_side != d or dispersion.geometry != geometry:
+            raise ValueError("a tile state needs two tile lattices of one tile side and grid")
+        side, m = geometry.side, geometry.side // d
+        origin = [s % d for s in local.tile_shift]
+        shift = [(s - o) % d for s, o in zip(dispersion.tile_shift, origin)]
         self.geometry, self.marked, self.tile_side = geometry, marked, d
         self.origins = (tuple(origin), tuple(o + s for o, s in zip(origin, shift)))
         # (d, origin mod d) -> lattice; identical lattices reflect about A, written last.
@@ -229,9 +228,10 @@ class TileState:
                                       for k, (o_r, o_c) in enumerate(self.origins)])
         self.check_norm()
 
-    def _reflect(self, tile_side: int, shift: tuple[int, int]) -> None:
+    def _reflect(self, partition: "Partition") -> None:
         """2P - I about one of the two lattices (the ``operators`` docstring has the update)."""
-        k = self._lattices.get((tile_side, (shift[0] % self.tile_side, shift[1] % self.tile_side)))
+        d, (si, sj) = self.tile_side, partition.tile_shift
+        k = self._lattices.get((partition.tile_side, (si % d, sj % d)))
         if k is None:
             raise ValueError("partition is neither tile lattice of the tile state")
         (window, tap0, tap1, at0, at1), (kappa, col_ratio, row_ratio) = self._passes[k], self._taps
@@ -288,13 +288,6 @@ def uniform_state(geometry: GridGeometry) -> GridState:
     """The equal superposition 1/sqrt(n), copied once by the state from a broadcast view."""
     n = geometry.cell_count
     return GridState(geometry, np.broadcast_to(1.0 / np.sqrt(n), n))
-
-
-def basis_state(geometry: GridGeometry, cell: tuple[int, int]) -> GridState:
-    """All amplitude concentrated on one cell."""
-    values = np.zeros(geometry.cell_count)
-    values[cell_index(geometry, cell)] = 1.0
-    return GridState(geometry, values)
 
 
 def marked_probability(state: "GridState | TileState", marked: MarkedSet) -> float:

@@ -2,7 +2,7 @@
 
 Both are real involutions, applied in place:
 
-* oracle           -- negate the amplitude of every marked cell.
+* oracle           -- negate the amplitude of every cell of a ``MarkedSet``.
 * group diffusion  -- within each partition group with mean m, map a -> 2m - a
   (reflect about the group's uniform superposition).
 
@@ -12,9 +12,10 @@ the mean is the diffusion of the one-tile tessellation,
 operators do not check the norm; the round loop in ``simulator`` does, once
 per round.
 
-A run over two d x d tile lattices holds a ``grid.TileState`` and both
-operators update its tile coefficients, a = sum_x c_x e_x + up_A(M) +
-up_B(N), never the n amplitudes:
+A run over two d x d tile lattices holds a ``grid.TileState``, built from
+the marked set and the two tile partitions, and both operators update its
+tile coefficients, a = sum_x c_x e_x + up_A(M) + up_B(N), never the n
+amplitudes:
 
 * oracle          -- c <- -c - 2 (M[A(x)] + N[B(x)]), that is a -> -a at
   each marked cell x, O(K);
@@ -35,11 +36,8 @@ doubled means back over that array and writes ``2 * mean - a`` in place
 with broadcast subtracts; the tile row and column that wrap around the
 torus are two edge strips each.  That is about 1.5 memcpy of traffic (3-4
 measured at L = 1024 on a 2-vCPU Xeon virtual machine), and it stays the
-large-n reference that tests hold the coefficient path to.
-
-``materialize_dense`` builds the n x n matrix of any operator directly from
-its defining formula, independent of the kernels, so tests can compare the
-routes.  The kernels are the production path and never materialize it.
+large-n reference that tests hold the coefficient path to.  The dense
+n x n matrices that tests compare both routes with live in ``tests/dense.py``.
 """
 
 from __future__ import annotations
@@ -48,27 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridGeometry, GridState, MarkedSet, TileState
+from .grid import GridState, MarkedSet, TileState
 from .tessellation import Partition, validate_partition
 
-__all__ = [
-    "DENSE_CELL_CAP",
-    "DiffusionSpec",
-    "OracleSpec",
-    "apply_oracle",
-    "apply_partition_diffusion",
-    "materialize_dense",
-]
-
-# Dense materialization is a test oracle; cap the memory it may claim.
-DENSE_CELL_CAP = 4096
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Sign flip on a set of marked cells."""
-
-    marked: MarkedSet
+__all__ = ["DiffusionSpec", "apply_oracle", "apply_partition_diffusion"]
 
 
 @dataclass(frozen=True)
@@ -82,12 +63,12 @@ class DiffusionSpec:
             validate_partition(self.partition)
 
 
-def apply_oracle(state: "GridState | TileState", spec: OracleSpec) -> "GridState | TileState":
-    """Negate marked amplitudes in place; everything else is untouched."""
+def apply_oracle(state: "GridState | TileState", marked: MarkedSet) -> "GridState | TileState":
+    """Negate the amplitudes of the marked cells in place; everything else is untouched."""
     if isinstance(state, TileState):
-        state.deltas -= 2.0 * state.marked_amplitudes(spec.marked)
+        state.deltas -= 2.0 * state.marked_amplitudes(marked)
         return state
-    idx = spec.marked.indices(state.geometry)
+    idx = marked.indices(state.geometry)
     state.amplitudes[idx] *= -1.0
     return state
 
@@ -103,7 +84,7 @@ def apply_partition_diffusion(
             f"state has side {state.geometry.side}"
         )
     if isinstance(state, TileState):
-        state._reflect(partition.tile_side, partition.tile_shift)
+        state._reflect(partition)
     elif partition.tile_side is not None:
         _tile_sweep(state.as_grid(), partition.tile_side, partition.tile_shift)
     else:
@@ -152,31 +133,3 @@ def _group_sweep(amplitudes: np.ndarray, partition: Partition) -> None:
     sums = np.bincount(ids, weights=amplitudes, minlength=partition.group_count)
     doubled_means = sums * (2.0 / partition.group_sizes)
     np.subtract(doubled_means[ids], amplitudes, out=amplitudes)
-
-
-def materialize_dense(
-    op: "OracleSpec | DiffusionSpec",
-    geometry: GridGeometry,
-    max_cells: int = DENSE_CELL_CAP,
-) -> np.ndarray:
-    """n x n matrix of the operator, built from its formula.
-
-    Column x equals the operator applied to basis state x.  Refuses grids
-    above ``max_cells`` cells.
-    """
-    n = geometry.cell_count
-    if n > max_cells:
-        raise ValueError(f"dense materialization capped at {max_cells} cells, grid has {n}")
-    if isinstance(op, OracleSpec):
-        matrix = np.eye(n)
-        idx = op.marked.indices(geometry)
-        matrix[idx, idx] = -1.0
-        return matrix
-    if isinstance(op, DiffusionSpec):
-        if op.partition.geometry != geometry:
-            raise ValueError("partition geometry does not match the requested geometry")
-        matrix = -np.eye(n)
-        for flat in np.split(op.partition.cells, op.partition.offsets[1:-1]):
-            matrix[np.ix_(flat, flat)] += 2.0 / flat.size
-        return matrix
-    raise TypeError(f"cannot materialize {type(op).__name__}")

@@ -24,6 +24,7 @@ diffusion's step cost (the tile side for squares, 1 for crosses).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,7 +42,7 @@ from .grid import (
     normalize_coord,
     uniform_state,
 )
-from .operators import DiffusionSpec, OracleSpec, apply_oracle, apply_partition_diffusion
+from .operators import DiffusionSpec, apply_oracle, apply_partition_diffusion
 from .tessellation import Partition, shifted_square_partition, square_partition
 
 __all__ = [
@@ -237,22 +238,21 @@ def _iterate(
 def run(config: RunConfig) -> SimulationTrace:
     """Drive the grid search from the uniform state over the full horizon."""
     operators = {
-        STEP_ORACLE: (apply_oracle, OracleSpec(config.marked)),
+        STEP_ORACLE: (apply_oracle, config.marked),
         STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
         STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
     }
     steps = [operators[step] for step in config.steps]
 
     def apply_round(state: GridState) -> None:
-        for apply, spec in steps:
-            apply(state, spec)
+        for apply, operand in steps:
+            apply(state, operand)
 
     oracles = config.steps.count(STEP_ORACLE)
     per_round = CostCounters(oracles, len(steps) - oracles, config.steps_per_iteration)
     local, dispersion = config.local_partition, config.dispersion_partition
     if local.tile_side is not None and local.tile_side == dispersion.tile_side:
-        state = TileState(config.geometry, config.marked, local.tile_side,
-                          local.tile_shift, dispersion.tile_shift)
+        state = TileState(config.marked, local, dispersion)
     else:
         state = uniform_state(config.geometry)
     return _iterate(
@@ -285,9 +285,13 @@ def run_grover_reference(
         raise ValueError(f"need 1 <= marked_count < n, got marked_count={marked_count}, n={n}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    if snapshot_stride < 0:
+        raise ValueError("snapshot_stride must be nonnegative")
     geometry = GridGeometry(side)
     if marked_indices is None:
         marked_indices = range(marked_count)
+    if not all(isinstance(i, numbers.Integral) for i in marked_indices):
+        raise ValueError("marked_indices must be integers")
     # coord_of_index rejects indices outside [0, n).
     marked = MarkedSet(frozenset(coord_of_index(geometry, int(i)) for i in marked_indices))
     if len(marked.cells) != marked_count:

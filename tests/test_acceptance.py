@@ -15,7 +15,6 @@ from gridgrover import (
     DiffusionSpec,
     GridGeometry,
     MarkedSet,
-    OracleSpec,
     REFERENCE_PEAKS,
     RunConfig,
     TableReport,
@@ -24,7 +23,6 @@ from gridgrover import (
     apply_partition_diffusion,
     bin_index,
     first_crest,
-    materialize_dense,
     multi_marked_summary,
     reference_peak,
     run,
@@ -34,6 +32,7 @@ from gridgrover import (
     table_report,
     uniform_state,
 )
+from dense import dense_diffusion, dense_oracle
 from test_tessellation import all_legal_partitions
 from gridgrover.tessellation import validate_partition
 
@@ -206,10 +205,10 @@ def test_criterion_6a_dense_unitarity():
         g = GridGeometry(side)
         eye = np.eye(g.cell_count)
         matrices = [
-            materialize_dense(OracleSpec(MarkedSet.of((1, 1))), g),
-            materialize_dense(DiffusionSpec(square_partition(g, side)), g),
+            dense_oracle(MarkedSet.of((1, 1)), g),
+            dense_diffusion(square_partition(g, side), g),
         ]
-        matrices += [materialize_dense(DiffusionSpec(p), g) for p in all_legal_partitions(side)]
+        matrices += [dense_diffusion(p, g) for p in all_legal_partitions(side)]
         for matrix in matrices:
             worst = max(worst, float(np.max(np.abs(matrix.T @ matrix - eye))))
     report("6a dense unitarity", worst <= 1e-12, f"max |M^T M - I| = {worst:.2e} (tol 1e-12)")
@@ -232,9 +231,9 @@ def test_criterion_6c_dense_trace_equivalence():
         config = RunConfig(g, snapshot_stride=1)
         trace = run(config)
         matrices = {
-            "oracle": materialize_dense(OracleSpec(config.marked), g),
-            "local_diffusion": materialize_dense(DiffusionSpec(config.local_partition), g),
-            "dispersion": materialize_dense(DiffusionSpec(config.dispersion_partition), g),
+            "oracle": dense_oracle(config.marked, g),
+            "local_diffusion": dense_diffusion(config.local_partition, g),
+            "dispersion": dense_diffusion(config.dispersion_partition, g),
         }
         psi = uniform_state(g).amplitudes
         for k in range(1, config.max_iterations + 1):
@@ -251,11 +250,10 @@ def test_criterion_6d_norm_preservation_large_run():
     g = GridGeometry(1024)
     config = RunConfig(g)
     state = uniform_state(g)
-    oracle = OracleSpec(config.marked)
     local = DiffusionSpec(config.local_partition)
     dispersion = DiffusionSpec(config.dispersion_partition)
     apply = {
-        "oracle": lambda s: apply_oracle(s, oracle),
+        "oracle": lambda s: apply_oracle(s, config.marked),
         "local_diffusion": lambda s: apply_partition_diffusion(s, local),
         "dispersion": lambda s: apply_partition_diffusion(s, dispersion),
     }
@@ -284,7 +282,7 @@ def test_criterion_6e_involution_and_reflection():
         values /= np.linalg.norm(values)
         from gridgrover import GridState
 
-        oracle = OracleSpec(MarkedSet.of((1, 2), (side - 1, 0)))
+        oracle = MarkedSet.of((1, 2), (side - 1, 0))
         state = GridState(g, values)
         apply_oracle(apply_oracle(state, oracle), oracle)
         worst = max(worst, float(np.max(np.abs(state.amplitudes - values))))

@@ -8,7 +8,6 @@ from gridgrover import (
     GridState,
     MarkedSet,
     NormDriftError,
-    basis_state,
     cell_index,
     coord_of_index,
     marked_probability,
@@ -77,7 +76,8 @@ def test_marked_probability_uniform_and_basis():
     assert marked_probability(uniform_state(g), MarkedSet.of((2, 1))) == pytest.approx(
         0.0625, abs=1e-15
     )
-    assert marked_probability(basis_state(g, (2, 1)), MarkedSet.of((2, 1))) == 1.0
+    basis = GridState(g, np.arange(g.cell_count) == cell_index(g, (2, 1)))
+    assert marked_probability(basis, MarkedSet.of((2, 1))) == 1.0
 
 
 def test_marked_probability_two_cells():

@@ -9,18 +9,16 @@ from gridgrover import (
     GridGeometry,
     GridState,
     MarkedSet,
-    OracleSpec,
     apply_oracle,
     apply_partition_diffusion,
-    basis_state,
     custom_partition,
     marked_probability,
-    materialize_dense,
     shifted_square_partition,
     square_partition,
     translate_partition,
     uniform_state,
 )
+from dense import dense_diffusion, dense_oracle
 from test_tessellation import all_legal_partitions, groups
 
 
@@ -32,7 +30,7 @@ def random_state(geometry, seed):
 
 def test_oracle_negates_marked_only():
     g = GridGeometry(4)
-    state = apply_oracle(uniform_state(g), OracleSpec(MarkedSet.of((2, 1))))
+    state = apply_oracle(uniform_state(g), MarkedSet.of((2, 1)))
     grid = state.as_grid()
     assert grid[2, 1] == -0.25
     grid[2, 1] = 0.25
@@ -43,23 +41,23 @@ def test_oracle_is_an_involution():
     g = GridGeometry(6)
     state = random_state(g, 7)
     before = state.amplitudes.copy()
-    spec = OracleSpec(MarkedSet.of((1, 5), (3, 3)))
-    apply_oracle(apply_oracle(state, spec), spec)
+    marked = MarkedSet.of((1, 5), (3, 3))
+    apply_oracle(apply_oracle(state, marked), marked)
     np.testing.assert_array_equal(state.amplitudes, before)
 
 
 def test_oracle_fixes_states_supported_off_the_marked_cells():
     g = GridGeometry(4)
-    state = basis_state(g, (0, 3))
+    state = GridState(g, np.arange(g.cell_count) == 3)  # all amplitude on cell (0, 3)
     before = state.amplitudes.copy()
-    apply_oracle(state, OracleSpec(MarkedSet.of((2, 2))))
+    apply_oracle(state, MarkedSet.of((2, 2)))
     np.testing.assert_array_equal(state.amplitudes, before)
 
 
 def test_diffusion_reflects_about_group_mean():
     # one group of four: (1, 0, 0, 0) has mean 1/4 -> (-0.5, 0.5, 0.5, 0.5)
     g = GridGeometry(2)
-    state = basis_state(g, (0, 0))
+    state = GridState(g, [1.0, 0.0, 0.0, 0.0])
     p = custom_partition(g, [[(0, 0), (0, 1), (1, 0), (1, 1)]])
     apply_partition_diffusion(state, DiffusionSpec(p))
     np.testing.assert_allclose(state.amplitudes, [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
@@ -84,7 +82,8 @@ def test_single_tile_diffusion_equals_global_reflection(side):
     g = GridGeometry(side)
     n = g.cell_count
     global_reflection = np.full((n, n), 2.0 / n) - np.eye(n)
-    assert np.max(np.abs(materialize_dense(one_tile(g), g) - global_reflection)) <= 1e-12
+    matrix = dense_diffusion(one_tile(g).partition, g)
+    assert np.max(np.abs(matrix - global_reflection)) <= 1e-12
     state = random_state(g, 3)
     expected = global_reflection @ state.amplitudes
     apply_partition_diffusion(state, one_tile(g))
@@ -96,7 +95,7 @@ def test_global_grover_on_uniform_and_basis():
     state = apply_partition_diffusion(uniform_state(g), one_tile(g))
     np.testing.assert_allclose(state.amplitudes, 0.5, atol=1e-15)
 
-    state = apply_partition_diffusion(basis_state(g, (0, 0)), one_tile(g))
+    state = apply_partition_diffusion(GridState(g, [1.0, 0.0, 0.0, 0.0]), one_tile(g))
     np.testing.assert_allclose(state.amplitudes, [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
 
@@ -105,7 +104,7 @@ def test_one_grover_round_on_four_cells_is_exact():
     g = GridGeometry(2)
     marked = MarkedSet.of((1, 0))
     state = uniform_state(g)
-    apply_partition_diffusion(apply_oracle(state, OracleSpec(marked)), one_tile(g))
+    apply_partition_diffusion(apply_oracle(state, marked), one_tile(g))
     assert marked_probability(state, marked) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,37 +113,31 @@ def test_global_grover_closed_form():
     marked = MarkedSet.of((1, 2))
     theta = math.asin(1.0 / 4.0)
     state = uniform_state(g)
-    spec = OracleSpec(marked)
     diffusion = one_tile(g)
     for k in range(1, 21):
-        apply_partition_diffusion(apply_oracle(state, spec), diffusion)
+        apply_partition_diffusion(apply_oracle(state, marked), diffusion)
         expected = math.sin((2 * k + 1) * theta) ** 2
         assert marked_probability(state, marked) == pytest.approx(expected, abs=1e-9)
 
 
-def test_materialize_dense_oracle_and_tiny_diffusion():
-    from gridgrover import square_partition
-
+def test_dense_oracle_and_tiny_diffusion():
     g = GridGeometry(2)
-    oracle = materialize_dense(OracleSpec(MarkedSet.of((0, 0))), g)
+    oracle = dense_oracle(MarkedSet.of((0, 0)), g)
     np.testing.assert_array_equal(oracle, np.diag([-1.0, 1.0, 1.0, 1.0]))
 
-    diffusion = materialize_dense(DiffusionSpec(square_partition(g, 2)), g)
+    diffusion = dense_diffusion(square_partition(g, 2), g)
     expected = np.full((4, 4), 0.5) - np.eye(4)
     np.testing.assert_allclose(diffusion, expected, atol=1e-15)
 
 
-def test_materialize_dense_respects_cap():
+def test_dense_matrices_respect_cap():
     g = GridGeometry(65)
-    with pytest.raises(ValueError):
-        materialize_dense(one_tile(g), g)
+    partition = square_partition(g, 65)
+    for build, operator in ((dense_oracle, MarkedSet.of((0, 0))), (dense_diffusion, partition)):
+        with pytest.raises(ValueError, match="capped"):
+            build(operator, g)
     # explicit cap override
-    assert materialize_dense(one_tile(g), g, max_cells=65 * 65).shape == (4225, 4225)
-
-
-def test_materialize_dense_rejects_unknown_operators():
-    with pytest.raises(TypeError):
-        materialize_dense(object(), GridGeometry(2))
+    assert dense_diffusion(partition, g, max_cells=65 * 65).shape == (4225, 4225)
 
 
 def test_dense_matrices_are_unitary():
@@ -153,13 +146,11 @@ def test_dense_matrices_are_unitary():
         g = GridGeometry(side)
         n = g.cell_count
         operators = [
-            materialize_dense(OracleSpec(MarkedSet.of((1, 1))), g),
-            materialize_dense(OracleSpec(MarkedSet.of((0, 0), (side - 1, 2))), g),
-            materialize_dense(one_tile(g), g),
+            dense_oracle(MarkedSet.of((1, 1)), g),
+            dense_oracle(MarkedSet.of((0, 0), (side - 1, 2)), g),
+            dense_diffusion(one_tile(g).partition, g),
         ]
-        operators += [
-            materialize_dense(DiffusionSpec(p), g) for p in all_legal_partitions(side)
-        ]
+        operators += [dense_diffusion(p, g) for p in all_legal_partitions(side)]
         for matrix in operators:
             assert np.max(np.abs(matrix.T @ matrix - np.eye(n))) <= 1e-12
 
@@ -169,7 +160,7 @@ def test_diffusion_agrees_with_dense_everywhere():
         g = GridGeometry(side)
         for p in all_legal_partitions(side):
             state = random_state(g, side)
-            expected = materialize_dense(DiffusionSpec(p), g) @ state.amplitudes
+            expected = dense_diffusion(p, g) @ state.amplitudes
             apply_partition_diffusion(state, DiffusionSpec(p))
             assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12, p.kind
 
@@ -183,7 +174,7 @@ def test_tile_and_generic_sweeps_agree():
     generic = custom_partition(g, [list(grp) for grp in groups(fast)])
     assert fast.tile_side is not None and generic.tile_side is None
     a = random_state(g, 11)
-    b = a.copy()
+    b = GridState(g, a.amplitudes)
     apply_partition_diffusion(a, DiffusionSpec(fast))
     apply_partition_diffusion(b, DiffusionSpec(generic))
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
@@ -196,7 +187,7 @@ def test_translated_tile_partition_keeps_its_fast_path():
     p = translate_partition(square_partition(g, 4), (1, 3))
     assert p.tile_side == 4 and p.tile_shift == (1, 3)
     state = random_state(g, 13)
-    expected = materialize_dense(DiffusionSpec(p), g) @ state.amplitudes
+    expected = dense_diffusion(p, g) @ state.amplitudes
     apply_partition_diffusion(state, DiffusionSpec(p))
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
@@ -227,7 +218,7 @@ def test_group_locality():
     outside_a, outside_b = (6, 6), (7, 0)
 
     one = random_state(g, 21)
-    two = one.copy()
+    two = GridState(g, one.amplitudes)
     # swap two amplitudes outside the group: norm intact, group untouched
     ia = two.geometry.side * outside_a[0] + outside_a[1]
     ib = two.geometry.side * outside_b[0] + outside_b[1]
@@ -236,7 +227,7 @@ def test_group_locality():
     apply_partition_diffusion(one, spec)
     apply_partition_diffusion(two, spec)
     for cell in inside:
-        assert one.amplitude(cell) == pytest.approx(two.amplitude(cell), abs=1e-15)
+        assert one.as_grid()[cell] == pytest.approx(two.as_grid()[cell], abs=1e-15)
 
 
 def test_operators_keep_states_real():
@@ -244,12 +235,12 @@ def test_operators_keep_states_real():
     # keeps an exactly zero imaginary part through any application.
     g = GridGeometry(4)
     psi = uniform_state(g).amplitudes.astype(np.complex128)
-    for op in (
-        OracleSpec(MarkedSet.of((3, 3))),
-        DiffusionSpec(all_legal_partitions(4)[0]),
-        one_tile(g),
+    for matrix in (
+        dense_oracle(MarkedSet.of((3, 3)), g),
+        dense_diffusion(all_legal_partitions(4)[0], g),
+        dense_diffusion(one_tile(g).partition, g),
     ):
-        psi = materialize_dense(op, g) @ psi
+        psi = matrix @ psi
         assert np.all(psi.imag == 0.0)
 
 
@@ -319,8 +310,8 @@ def test_tile_group_and_dense_paths_agree(lattice, seed):
     generic = custom_partition(g, [list(grp) for grp in groups(fast)])
     assert fast.tile_side == d and generic.tile_side is None
     a = random_state(g, seed)
-    expected = materialize_dense(DiffusionSpec(fast), g) @ a.amplitudes
-    b = a.copy()
+    expected = dense_diffusion(fast, g) @ a.amplitudes
+    b = GridState(g, a.amplitudes)
     apply_partition_diffusion(a, DiffusionSpec(fast))
     apply_partition_diffusion(b, DiffusionSpec(generic))
     assert np.max(np.abs(a.amplitudes - expected)) <= 1e-12
@@ -329,11 +320,10 @@ def test_tile_group_and_dense_paths_agree(lattice, seed):
 
 def test_oracle_indices_are_built_once_per_geometry():
     marked = MarkedSet.of((1, 5), (3, 3))
-    spec = OracleSpec(marked)
     g = GridGeometry(6)
     idx = marked.indices(g)
     assert not idx.flags.writeable
-    apply_oracle(apply_oracle(uniform_state(g), spec), spec)
+    apply_oracle(apply_oracle(uniform_state(g), marked), marked)
     assert marked.indices(g) is idx
     assert marked.indices(GridGeometry(4)).tolist() == [5, 15]
     assert marked.indices(g) is idx
@@ -353,12 +343,12 @@ def test_oracle_matches_dense_matrix_on_unwrapped_marked_sets(side, cells, seed)
     g = GridGeometry(side)
     state = random_state(g, seed)
     # Separate MarkedSets, so neither path reads flat indices the other cached.
-    spec, dense_spec = OracleSpec(MarkedSet.of(*cells)), OracleSpec(MarkedSet.of(*cells))
+    marked, dense_marked = MarkedSet.of(*cells), MarkedSet.of(*cells)
     if len({(i % side, j % side) for i, j in cells}) < len(cells):
         with pytest.raises(ValueError):
-            apply_oracle(state, spec)
+            apply_oracle(state, marked)
         with pytest.raises(ValueError):
-            materialize_dense(dense_spec, g)
+            dense_oracle(dense_marked, g)
         return
-    expected = materialize_dense(dense_spec, g) @ state.amplitudes
-    np.testing.assert_array_equal(apply_oracle(state, spec).amplitudes, expected)
+    expected = dense_oracle(dense_marked, g) @ state.amplitudes
+    np.testing.assert_array_equal(apply_oracle(state, marked).amplitudes, expected)

@@ -11,7 +11,6 @@ from gridgrover import (
     GridState,
     MarkedSet,
     NormDriftError,
-    OracleSpec,
     RunConfig,
     TileState,
     apply_oracle,
@@ -21,7 +20,6 @@ from gridgrover import (
     default_horizon,
     default_marked_cell,
     first_crest,
-    materialize_dense,
     peak,
     run,
     run_grover_reference,
@@ -33,6 +31,7 @@ from gridgrover import (
 )
 from gridgrover import simulator
 from gridgrover.simulator import DEFAULT_ORDER, STEP_DISPERSION, STEP_LOCAL, STEP_ORACLE
+from dense import dense_diffusion, dense_oracle
 
 
 def test_calibrated_defaults():
@@ -101,9 +100,9 @@ def test_trace_matches_dense_operator_product(side, order):
     config = RunConfig(g, order=order, snapshot_stride=1)
     trace = run(config)
 
-    oracle = materialize_dense(OracleSpec(config.marked), g)
-    local = materialize_dense(DiffusionSpec(config.local_partition), g)
-    dispersion = materialize_dense(DiffusionSpec(config.dispersion_partition), g)
+    oracle = dense_oracle(config.marked, g)
+    local = dense_diffusion(config.local_partition, g)
+    dispersion = dense_diffusion(config.dispersion_partition, g)
     step_matrix = {"oracle": oracle, "local_diffusion": local, "dispersion": dispersion}
 
     psi = uniform_state(g).amplitudes
@@ -141,7 +140,7 @@ def test_snapshot_after_oracle():
     state = uniform_state(GridGeometry(2))
     from gridgrover import apply_oracle
 
-    apply_oracle(state, OracleSpec(MarkedSet.of((0, 0))))
+    apply_oracle(state, MarkedSet.of((0, 0)))
     np.testing.assert_array_equal(snapshot(state), [[-0.5, 0.5], [0.5, 0.5]])
 
 
@@ -240,6 +239,20 @@ def test_grover_reference_validation():
         run_grover_reference(8, 1, 3)
     with pytest.raises(ValueError):
         run_grover_reference(2, 1, 3)
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        run_grover_reference(16, 1, 6, snapshot_stride=-2)
+
+
+def test_grover_reference_takes_only_integer_indices():
+    for indices in ([1.7], [1.0], ["1"], [np.float64(1.0)]):
+        with pytest.raises(ValueError, match="integers"):
+            run_grover_reference(16, 1, 6, marked_indices=indices)
+    # NumPy integers, as the grover subcommand passes them, mark the same cell as ints.
+    numpy_indices = run_grover_reference(16, 1, 6, marked_indices=np.array([5], dtype=np.intp))
+    assert numpy_indices.marked_cells == ((1, 1),)
+    np.testing.assert_array_equal(
+        numpy_indices.probabilities, run_grover_reference(16, 1, 6, marked_indices=[5]).probabilities
+    )
 
 
 def test_final_state_norm_survives_a_long_run():
@@ -276,9 +289,9 @@ def _run_with_faulty_oracle(monkeypatch, fault):
     real_oracle = simulator.apply_oracle
     for state_type, make_config in STATE_KINDS.values():
 
-        def faulty_oracle(state, spec):
+        def faulty_oracle(state, marked):
             assert type(state) is state_type
-            real_oracle(state, spec)
+            real_oracle(state, marked)
             fault(state)
             return state
 
@@ -371,9 +384,9 @@ def test_run_picks_the_state_by_partition_pair(monkeypatch):
 def test_tile_state_rejects_foreign_operators():
     g = GridGeometry(8)
     config = RunConfig(g)
-    state = TileState(g, config.marked, 4, (0, 0), (2, 2))
+    state = TileState(config.marked, config.local_partition, config.dispersion_partition)
     with pytest.raises(ValueError, match="marked set"):
-        apply_oracle(state, OracleSpec(MarkedSet.of((1, 1))))
+        apply_oracle(state, MarkedSet.of((1, 1)))
     for partition in (
         translate_partition(config.local_partition, (1, 0)),
         square_partition(g, 2),
@@ -385,19 +398,30 @@ def test_tile_state_rejects_foreign_operators():
         state.amplitudes[0] = 1.0
 
 
+def test_tile_state_needs_two_tile_lattices_of_one_side_and_grid():
+    g = GridGeometry(8)
+    tiles, marked = square_partition(g, 4), MarkedSet.of((1, 1))
+    for local, dispersion in (
+        (cross_partition(GridGeometry(10)), cross_partition(GridGeometry(10))),
+        (tiles, custom_partition(g, [[(i, j) for i in range(8) for j in range(8)]])),
+        (tiles, square_partition(g, 2)),
+        (tiles, square_partition(GridGeometry(12), 4)),
+    ):
+        with pytest.raises(ValueError, match="two tile lattices"):
+            TileState(marked, local, dispersion)
+
+
 def operators_of(config):
-    """Step name -> (apply, spec) for the three operators of ``config``."""
+    """Step name -> (apply, operand) for the three operators of ``config``."""
     return {
-        STEP_ORACLE: (apply_oracle, OracleSpec(config.marked)),
+        STEP_ORACLE: (apply_oracle, config.marked),
         STEP_LOCAL: (apply_partition_diffusion, DiffusionSpec(config.local_partition)),
         STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
     }
 
 
 def tile_state_of(config):
-    local, dispersion = config.local_partition, config.dispersion_partition
-    return TileState(config.geometry, config.marked, local.tile_side, local.tile_shift,
-                     dispersion.tile_shift)
+    return TileState(config.marked, config.local_partition, config.dispersion_partition)
 
 
 def grid_state_rounds(config):
@@ -406,8 +430,8 @@ def grid_state_rounds(config):
     steps = operators_of(config)
     for _ in range(config.max_iterations):
         for step in config.steps:
-            apply, spec = steps[step]
-            apply(state, spec)
+            apply, operand = steps[step]
+            apply(state, operand)
         yield state
 
 
@@ -496,9 +520,9 @@ def test_tile_state_matches_grid_state_after_every_operator(config, sequence):
     tile, grid, steps = tile_state_of(config), uniform_state(config.geometry), operators_of(config)
     history = [grid.as_grid().copy()]
     for k, step in enumerate(sequence):
-        apply, spec = steps[step]
-        apply(tile, spec)
-        apply(grid, spec)
+        apply, operand = steps[step]
+        apply(tile, operand)
+        apply(grid, operand)
         assert np.max(np.abs(tile.as_grid() - grid.as_grid())) <= 1e-12, k
         picked = tile.marked_amplitudes(config.marked) - grid.marked_amplitudes(config.marked)
         assert np.max(np.abs(picked)) <= 1e-12, k
@@ -517,8 +541,8 @@ def test_tile_rounds_allocate_no_window_sized_array():
 
     def rounds(count):
         for _ in range(count):
-            for apply, spec in steps:
-                apply(state, spec)
+            for apply, operand in steps:
+                apply(state, operand)
             state.check_norm()
             state.marked_amplitudes(config.marked)
 
