@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``    expand the config's sweep lists, one artifact dir per point
 * ``table``    rerun the reference result series and print the comparison
 * ``grover``   complete-graph reference trace for the config's grid
-* ``validate`` check the config's tessellations cover the grid exactly
+* ``validate`` derive each tessellation's group map and check its cover
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     geometry = GridGeometry(config.side)
     for role, kind in (("local", config.local_kind), ("dispersion", config.dispersion_kind)):
         partition = make_partition(geometry, kind, config.d)
-        validate_partition(partition)  # InvalidPartitionError exits 1 through main
+        validate_partition(partition)  # an InvalidPartitionError exits 1 through main
         sys.stdout.write(f"{role} ({kind}, d={config.d}): ok [{partition.group_count} groups]\n")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)

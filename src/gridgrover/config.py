@@ -17,7 +17,8 @@ Keys::
     order               ltr | rtl round reading (default ltr, the calibrated order)
     max_iters           horizon override (default 4 * L)
     snapshot_stride     rounds between stored grids (0 = none; >= 1 needs
-                        emit_snapshots or emit_heatmaps, which read them)
+                        emit_snapshots or emit_heatmaps, which read them,
+                        and at most the horizon of every point)
     out                 output directory
     emit_trace          write trace.csv (default true)
     emit_snapshots      write snapshot CSVs (needs snapshot_stride >= 1)
@@ -43,7 +44,9 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .grid import GridGeometry, MarkedSet
-from .simulator import _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_marked_cell
+from .simulator import (
+    _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_horizon, default_marked_cell,
+)
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -142,10 +145,10 @@ class ExperimentConfig:
             violations.extend(f"{key}: tile side must be positive, got {t}" for t in tiles if t < 1)
         # Only the (side, kind, tile side) combinations that sweep_points runs must tile.
         sides, tiles, kinds = self._axes()
+        sides = [side for side in sides if side is not None and side >= 2]
         for side, kind, tile in product(sides, (*kinds, self.dispersion_kind), tiles):
-            if side is not None and side >= 2 and tile >= 1:
-                if problem := tiling_problem(side, kind, tile):
-                    violations.append(problem)
+            if tile >= 1 and (problem := tiling_problem(side, kind, tile)):
+                violations.append(problem)
         if self.order not in _ORDERS:
             names = " or ".join(map(repr, _ORDERS))
             violations.append(f"order: expected {names}, got {self.order!r}")
@@ -160,6 +163,10 @@ class ExperimentConfig:
         if self.snapshot_stride >= 1 and not (self.emit_snapshots or self.emit_heatmaps):
             violations.append("snapshot_stride: stored grids are read only by emit_snapshots "
                               "or emit_heatmaps; set one of them or use 0")
+        horizons = [self.max_iterations or default_horizon(GridGeometry(s)) for s in sides]
+        if horizons and 1 <= min(horizons) < self.snapshot_stride:
+            violations.append(f"snapshot_stride: {self.snapshot_stride} exceeds the "
+                              f"{min(horizons)}-round horizon of a point, which would store no grid")
         if violations:
             # Sweeps can repeat one divisibility problem; report it once.
             raise ConfigError(list(dict.fromkeys(violations)))

@@ -212,7 +212,11 @@ def table_report(
     sizes: tuple[int, ...] = TABLE_SIZES,
     max_iterations: "int | None" = None,
 ) -> TableReport:
-    """Rerun the reference series and compare measured peaks against it."""
+    """Rerun the reference series and compare measured first crests against it.
+
+    Raises ``ValueError`` naming the first (n, order) whose trace never falls
+    within the horizon, since its last round is no crest.
+    """
     base = Path(out_dir) if out_dir is not None else None
     report = TableReport(out_dir=base)
     for n in sizes:
@@ -225,6 +229,9 @@ def table_report(
             )
             trace = run(config)
             crest = first_crest(trace)
+            if crest.iteration == trace.probabilities.size:
+                raise ValueError(f"n={n} {order}: the marked probability still rises at the "
+                                 f"{crest.iteration}-round horizon, which holds no crest")
             report.rows.append(
                 TableRow(
                     n=n,

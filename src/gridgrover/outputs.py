@@ -80,7 +80,7 @@ def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
 
 
 def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
-    """Write one ``i,j,group`` row per cell, row-major (-1 where no group covers the cell)."""
+    """Write one ``i,j,group`` row per cell, row-major, from the cell -> group map."""
     side = partition.geometry.side
     return _emit_cell_csv(partition.group_ids.reshape(side, side), "i,j,group", "%d", path)
 

@@ -32,6 +32,7 @@ def dense_diffusion(partition, geometry, max_cells=DENSE_CELL_CAP):
     if partition.geometry != geometry:
         raise ValueError("partition geometry does not match the requested geometry")
     matrix = -_identity(geometry, max_cells)
-    for flat in np.split(partition.cells, partition.offsets[1:-1]):
+    for group in range(partition.group_count):
+        flat = np.flatnonzero(partition.group_ids == group)
         matrix[np.ix_(flat, flat)] += 2.0 / flat.size
     return matrix

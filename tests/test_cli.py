@@ -157,6 +157,32 @@ def test_snapshots_without_an_emitter_exit_nonzero(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,text,flags",
+    [
+        ("run", "L = 8\nmax_iters = 4\nsnapshot_stride = 10\n", ()),
+        ("grover", "L = 20\nsnapshot_stride = 40\n", ("--max-iters", "3")),
+        ("sweep", "L = 8\nmax_iters = 6\nsnapshot_stride = 2\n", ("--snapshots", "7")),
+    ],
+    ids=["config", "max-iters", "snapshots"],
+)
+def test_snapshot_stride_beyond_the_horizon_exits_nonzero(tmp_path, capsys, command, text, flags):
+    # Such a stride stores no grid, so the run would write no snapshot or heatmap.
+    cfg = write_config(tmp_path, text + "emit_snapshots = true\nemit_heatmaps = true\n")
+    out = tmp_path / "results"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert "round horizon of a point, which would store no grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_without_a_crest_in_the_horizon_exits_nonzero(tmp_path, capsys):
+    # At 5 rounds the n = 256 trace still rises: its last round is no crest to compare.
+    assert main(["table", "--order", "ltr", "--max-iters", "5", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "n=256 ltr: the marked probability still rises at the 5-round horizon" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "error" in capsys.readouterr().err

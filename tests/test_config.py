@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -98,6 +99,25 @@ def test_heatmaps_require_a_snapshot_stride():
     assert any("snapshot_stride" in v for v in err.value.violations)
     config = parse_config("L = 8\nemit_heatmaps = true\nsnapshot_stride = 2\n")
     assert config.emit_heatmaps
+
+
+def test_snapshot_stride_must_fit_every_horizon():
+    # A stride past a point's horizon, max_iters or 4 L, would store no grid.
+    emit = "emit_snapshots = true\nemit_heatmaps = true\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 8\nmax_iters = 4\nsnapshot_stride = 10\n" + emit)
+    assert err.value.violations == (
+        "snapshot_stride: 10 exceeds the 4-round horizon of a point, which would store no grid",
+    )
+    assert parse_config("L = 8\nmax_iters = 4\nsnapshot_stride = 4\n" + emit).snapshot_stride == 4
+    # Without max_iters each swept side has its own horizon; the smallest must fit.
+    assert parse_config("L = 8\nsnapshot_stride = 32\n" + emit).snapshot_stride == 32
+    with pytest.raises(ConfigError, match="40 exceeds the 32-round horizon"):
+        parse_config("L = 40\nsweep_n = 64, 1600\nsnapshot_stride = 40\n" + emit)
+    config = parse_config("L = 40\nsnapshot_stride = 40\n" + emit)
+    for overrides in (dict(max_iterations=39), dict(snapshot_stride=161)):
+        with pytest.raises(ConfigError, match="round horizon of a point"):
+            config.with_overrides(**overrides)
 
 
 def test_grids_are_stored_only_for_the_emitters(tmp_path):
@@ -335,14 +355,24 @@ def _outcome(parse, text):
 @example("L = 8\nsweep_n = 36\nsweep_d = 2")
 @example("L = 10\nmarked = 0,0,8,8\nsweep_n = 64")
 @example("L = 8\nsnapshot_stride = 2")
+@example("L = 8\nmax_iters = 4\nsnapshot_stride = 10\nemit_snapshots = true\nemit_heatmaps = true")
+@example("L = 40\nsweep_n = 64\nsnapshot_stride = 40\nemit_heatmaps = true")
 def test_parser_matches_the_previous_parser(text):
     new, old = _outcome(parse_config, text), _outcome(reference_config.parse_config, text)
     if isinstance(new, tuple) and isinstance(old, dict):
-        # A stride with neither emitter is now refused; the previous parser accepted it
-        # and the run dropped the stride.  That is the only rule the new parser adds.
-        assert all(violation.startswith("snapshot_stride: stored grids") for violation in new)
+        # Two strides are now refused that the previous parser accepted and the run
+        # dropped: one with neither emitter, and one beyond the horizon of a point,
+        # max_iters or 4 L, which stores no grid.  These are the only rules it adds.
+        sides = [math.isqrt(n) for n in old["sweep_n"]] or [old["side"]]
+        horizon = old["max_iterations"] or 4 * min(sides)
+        for violation in new:
+            if violation.startswith("snapshot_stride: stored grids"):
+                assert not (old["emit_snapshots"] or old["emit_heatmaps"])
+            else:
+                assert violation.startswith(f"snapshot_stride: {old['snapshot_stride']} exceeds "
+                                            f"the {horizon}-round horizon")
+                assert old["snapshot_stride"] > horizon
         assert old["snapshot_stride"] >= 1
-        assert not (old["emit_snapshots"] or old["emit_heatmaps"])
         return
     if isinstance(new, tuple) or isinstance(old, dict):
         # Both reject, or both accept and build equal configs.

@@ -8,6 +8,7 @@ from gridgrover import (
     DiffusionSpec,
     GridGeometry,
     GridState,
+    InvalidPartitionError,
     MarkedSet,
     apply_oracle,
     apply_partition_diffusion,
@@ -253,8 +254,9 @@ def test_diffusion_rejects_geometry_mismatch():
 
 
 def test_diffusion_spec_rejects_invalid_partition():
+    # An invalid cover cannot be built, so no DiffusionSpec can hold one.
     g = GridGeometry(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidPartitionError, match="15 missing cells"):
         DiffusionSpec(custom_partition(g, [[(0, 0)]]))
 
 

@@ -329,14 +329,13 @@ def test_trace_keeps_the_largest_norm_drift(monkeypatch, kind):
 
 
 def test_run_never_builds_coord_groups():
-    # The tile kernel reads the lattice; tile cell arrays and the cell -> group
-    # map are for emission, dense matrices and tests only.
+    # The tile kernel reads the lattice; the cell -> group map is for
+    # emission, dense matrices and tests only.
     config = RunConfig(GridGeometry(64))
     run(config)
     for partition in (config.local_partition, config.dispersion_partition):
         assert partition.tile_side is not None
-        for derived in ("cells", "offsets", "group_ids"):
-            assert derived not in partition.__dict__
+        assert "group_ids" not in partition.__dict__
 
 
 def test_default_run_setup_allocates_no_grid_sized_arrays():

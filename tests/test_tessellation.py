@@ -1,5 +1,6 @@
 import csv
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from gridgrover import (
     Coord,
-    DiffusionSpec,
     GridGeometry,
     InvalidPartitionError,
     Partition,
@@ -22,6 +22,7 @@ from gridgrover import (
     translate_partition,
     validate_partition,
 )
+from gridgrover.tessellation import KIND_CROSS, KIND_FOUR_CORNERS, KIND_SQUARE
 
 
 def legal_square_sides(side):
@@ -44,15 +45,16 @@ def all_legal_partitions(side):
 
 
 def groups(partition):
-    """Per-group ``Coord`` tuples, in group order and each group's cell order."""
-    rows, cols = np.divmod(partition.cells, partition.geometry.side)
-    coords = list(map(Coord, rows.tolist(), cols.tolist()))
-    bounds = partition.offsets.tolist()
-    return tuple(tuple(coords[a:b]) for a, b in zip(bounds, bounds[1:]))
+    """Per-group ``Coord`` sets in group order, read off the cell -> group map."""
+    side = partition.geometry.side
+    members = [[] for _ in range(partition.group_count)]
+    for flat, group in enumerate(partition.group_ids.tolist()):
+        members[group].append(Coord(flat // side, flat % side))
+    return tuple(map(frozenset, members))
 
 
-# Reference generators: the per-cell loops that defined each tessellation's
-# groups, in order, before partitions were built with numpy broadcasting.
+# Reference generators: the per-cell loops that define each tessellation's
+# groups and their numbering, the oracle for the closed-form group maps.
 
 
 def reference_block_groups(side, d, shift):
@@ -116,13 +118,15 @@ def legal_partitions_with_reference(side):
 
 
 def test_array_generators_match_reference_loops_up_to_40():
+    # Group numbering and each group's cells; the map holds no order inside a group.
     rng = random.Random(1303)
     for side in range(2, 41):
         for p, reference in legal_partitions_with_reference(side):
-            assert groups(p) == tuple(reference), (side, p.kind, p.tile_side)
+            assert groups(p) == tuple(map(frozenset, reference)), (side, p.kind, p.d)
             di, dj = rng.randint(-3 * side, 3 * side), rng.randint(-3 * side, 3 * side)
             moved = translate_partition(p, (di, dj))
-            assert groups(moved) == tuple(reference_translate(reference, side, di, dj))
+            want = reference_translate(reference, side, di, dj)
+            assert groups(moved) == tuple(map(frozenset, want)), (side, p.kind, p.d, di, dj)
             assert (moved.kind, moved.step_cost, moved.tile_side) == (
                 p.kind,
                 p.step_cost,
@@ -146,38 +150,41 @@ def reference_partition_csv(geometry, groups, path):
 @pytest.mark.parametrize("side", [4, 10, 12])
 def test_partition_csv_bytes_match_reference_emitter(tmp_path, side):
     g = GridGeometry(side)
-    partial = custom_partition(g, [[(0, 0), (1, 1)], [(2, 3)]])
+    # Hand-built groups: the first two rows, then every other cell, in the order given.
+    rows = [(i, j) for i in range(2) for j in range(side)]
+    rest = [(i, j) for i in range(2, side) for j in range(side)]
+    hand = [rows, rest[1::2], rest[::2]]
     cases = legal_partitions_with_reference(side)
-    cases.append((partial, groups(partial)))
+    cases.append((custom_partition(g, hand), hand))
     for k, (p, reference) in enumerate(cases):
         got = emit_partition_csv(p, tmp_path / f"got{k}.csv").read_bytes()
         want = reference_partition_csv(g, reference, tmp_path / f"want{k}.csv").read_bytes()
         assert got == want, (side, p.kind, p.tile_side)
 
 
-def test_partition_arrays_describe_groups():
+def test_group_map_describes_groups():
     p = four_corners_partition(GridGeometry(8), 2)
-    assert p.cells.dtype == np.intp and p.offsets.dtype == np.intp
-    assert p.offsets.tolist() == list(range(0, 65, 4))
-    assert p.cells[:4].tolist() == [cell_index(p.geometry, c) for c in groups(p)[0]]
+    assert p.group_ids.dtype == np.intp and p.group_ids.shape == (64,)
+    assert p.group_count == 16 and p.tile_side is None
     np.testing.assert_array_equal(p.group_sizes, 4.0)
-    np.testing.assert_array_equal(p.group_ids[p.cells], np.repeat(np.arange(16), 4))
+    want = {cell_index(p.geometry, c) for c in reference_four_corners_groups(8, 2)[0]}
+    assert set(np.flatnonzero(p.group_ids == 0).tolist()) == want
+    assert validate_partition(p) is None
 
 
-def test_validate_partition_rejects_malformed_arrays():
+def test_partition_map_is_checked_at_construction():
+    # A stored map numbers its groups 0 .. max(ids); each must hold a cell.
     g = GridGeometry(2)
-    cells = np.arange(4)
-    with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, arrays=(cells, np.array([0, 3]))))
-    with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, arrays=(cells, np.array([0, 3, 2, 4]))))
-    with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, arrays=(np.array([0, 1, 2, 4]), np.array([0, 4]))))
-    with pytest.raises(InvalidPartitionError):
-        validate_partition(Partition(g, arrays=(np.array([-1, 1, 2, 3]), np.array([0, 4]))))
-    with pytest.raises(InvalidPartitionError, match="offsets"):
-        validate_partition(Partition(g, arrays=(cells, np.array([], dtype=np.intp))))
-    assert validate_partition(Partition(g, arrays=(cells, np.array([0, 4])))) is None
+    ids = np.array([0, 0, 1, 1])
+    p = Partition(g, ids=ids)
+    assert validate_partition(p) is None and p.group_count == 2
+    for bad in (None, ids[:3], ids.astype(np.float64), ids.reshape(2, 2)):
+        with pytest.raises(InvalidPartitionError, match="integer ids"):
+            Partition(g, ids=bad)
+    with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 1 negative group ids$"):
+        Partition(g, ids=np.array([-1, 0, 1, 1]))
+    with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 2 empty groups$"):
+        Partition(g, ids=np.array([0, 0, 3, 3]))
 
 
 def test_tile_descriptor_is_checked_at_construction():
@@ -186,14 +193,37 @@ def test_tile_descriptor_is_checked_at_construction():
         for build in (square_partition, shifted_square_partition):
             with pytest.raises(ValueError, match="tessellation needs"):
                 build(g, d)
-        with pytest.raises(ValueError, match="tessellation needs"):
-            Partition(g, tile_side=d, tile_shift=(1, 2))
-    # A partition is a lattice or explicit arrays, never both and never neither.
-    explicit = square_partition(g, 3)
-    with pytest.raises(ValueError):
-        Partition(g, tile_side=3, arrays=(explicit.cells, explicit.offsets))
-    with pytest.raises(ValueError):
-        Partition(g)
+        for kind in (KIND_SQUARE, KIND_FOUR_CORNERS):
+            with pytest.raises(ValueError, match="tessellation needs"):
+                Partition(g, kind, d=d, tile_shift=(1, 2))
+    with pytest.raises(ValueError, match="5 does not divide 12"):
+        Partition(g, KIND_CROSS, tile_shift=(3, 1))
+    with pytest.raises(ValueError, match="unknown tessellation kind"):
+        Partition(g, "hexagon", d=3)
+    # A descriptor has no stored map; its map and group count follow from it.
+    p = Partition(GridGeometry(10), KIND_CROSS, tile_shift=(3, 1))
+    assert (p.ids, p.tile_side) == (None, None) and "group_ids" not in p.__dict__
+    assert p.group_count == 20
+
+
+def test_named_tessellations_hold_no_map_until_it_is_read():
+    # At L = 2000 a cell -> group map is 32 MB; constructing a named kind makes none.
+    g = GridGeometry(2000)
+    builds = (
+        cross_partition,
+        lambda g: four_corners_partition(g, 4),
+        lambda g: square_partition(g, 4),
+        lambda g: shifted_square_partition(g, 4),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            p = build(g)
+            _current, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 64 * 1024, p.kind
+        assert "group_ids" not in p.__dict__
 
 
 def test_square_partition_whole_grid():
@@ -263,7 +293,7 @@ def test_cross_groups_are_center_plus_cardinal_neighbors():
     side = 10
     p = cross_partition(GridGeometry(side))
     for group in groups(p):
-        center = group[0]
+        (center,) = [c for c in group if (c.row + 2 * c.col) % 5 == 0]
         want = {
             center,
             Coord((center.row - 1) % side, center.col),
@@ -271,7 +301,7 @@ def test_cross_groups_are_center_plus_cardinal_neighbors():
             Coord(center.row, (center.col - 1) % side),
             Coord(center.row, (center.col + 1) % side),
         }
-        assert set(group) == want
+        assert group == want
 
 
 def test_cross_partition_rejects_bad_side():
@@ -306,28 +336,24 @@ def test_four_corners_rejects_bad_param():
 
 
 def test_validate_partition_reports_duplicates_and_missing():
+    # custom_partition checks the cover as it builds the map, so no partition misses a cell.
     g = GridGeometry(8)
     good = square_partition(g, 4)
     assert validate_partition(good) is None
 
     tiles = [list(grp) for grp in groups(good)]
-    doubled = custom_partition(g, tiles + [tiles[0]])
+    assert validate_partition(custom_partition(g, tiles)) is None
     with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 16 duplicated cells$"):
-        validate_partition(doubled)
-
-    short = custom_partition(g, [tiles[0][:-1]] + tiles[1:])
+        custom_partition(g, tiles + [tiles[0]])
     with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 1 missing cells$"):
-        validate_partition(short)
+        custom_partition(g, [tiles[0][:-1]] + tiles[1:])
 
 
 def test_validate_partition_rejects_empty_groups():
     # An empty group has no superposition to reflect about: its mean would divide by zero.
     g = GridGeometry(4)
-    p = custom_partition(g, [[(i, j) for i in range(4) for j in range(4)], []])
     with pytest.raises(InvalidPartitionError, match=r"^invalid partition: 1 empty groups$"):
-        validate_partition(p)
-    with pytest.raises(InvalidPartitionError, match="empty groups"):
-        DiffusionSpec(p)
+        custom_partition(g, [[(i, j) for i in range(4) for j in range(4)], []])
 
 
 def test_all_legal_generators_tile_up_to_40():
@@ -370,12 +396,16 @@ def test_translation_preserves_tiling(di, dj):
         validate_partition(translate_partition(p, (di, dj)))
 
 
-def test_group_ids_mark_uncovered_cells():
-    # group_ids checks nothing: cells outside every group read -1.
-    p = custom_partition(GridGeometry(4), [[(0, 0)], [(1, 2), (3, 3)]])
-    expected = np.full(16, -1)
-    expected[[0, 6, 15]] = [0, 1, 1]
-    np.testing.assert_array_equal(p.group_ids, expected)
+def test_custom_partition_numbers_groups_in_order():
+    # Cells wrap onto the grid; a translation rolls the map and keeps the numbering.
+    g = GridGeometry(4)
+    lower = [(i, j) for i in range(1, 4) for j in range(4)]
+    p = custom_partition(g, [[(0, 0), (4, 1)], lower, [(0, 2), (0, -1)]], step_cost=2)
+    np.testing.assert_array_equal(p.group_ids, [0, 0, 2, 2] + [1] * 12)
+    assert (p.kind, p.step_cost, p.group_count, p.tile_side) == ("custom", 2, 3, None)
+    moved = translate_partition(p, (1, -1))
+    np.testing.assert_array_equal(moved.group_ids.reshape(4, 4)[1], [0, 2, 2, 0])
+    assert groups(moved) == tuple(map(frozenset, reference_translate(groups(p), 4, 1, -1)))
 
 
 def test_step_costs():
