@@ -37,13 +37,12 @@ so ``with_overrides`` and ``dataclasses.replace`` results are validated too.
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterator
 
-from .grid import GridGeometry, MarkedSet
+from .grid import GridGeometry, MarkedSet, _side_of
 from .simulator import (
     _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_horizon, default_marked_cell,
 )
@@ -85,14 +84,6 @@ def make_partition(geometry: GridGeometry, kind: str, d: int) -> Partition:
     if kind == KIND_FOUR_CORNERS:
         return four_corners_partition(geometry, d)
     raise ValueError(f"unknown tessellation kind {kind!r}")
-
-
-def _side_of(n: int) -> int:
-    """The side L of an n = L^2 grid; ValueError unless n is the square of some L >= 2."""
-    root = math.isqrt(max(n, 0))
-    if root * root != n or root < 2:
-        raise ValueError(f"{n} is not a perfect square of a side >= 2")
-    return root
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,13 @@ recorded here as 16384 since the series is powers of 4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import PeakSummary, first_crest
 from .config import ExperimentConfig
 from .outputs import emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
-from .grid import GridGeometry
+from .grid import GridGeometry, _side_of
 from .simulator import RunConfig, SimulationTrace, run
 
 __all__ = [
@@ -61,6 +60,12 @@ REFERENCE_PEAKS: tuple[tuple[int, float, int], ...] = (
 TABLE_SIZES: tuple[int, ...] = (16, 64, 256, 1024, 4096, 16384, 65536)
 
 
+def _crest(trace: SimulationTrace) -> "PeakSummary | None":
+    """The trace's first crest, or None while the probability still rises at the horizon."""
+    crest = first_crest(trace)
+    return None if crest.iteration == trace.probabilities.size else crest
+
+
 def reference_peak(n: int) -> tuple[float, int]:
     """(amplitude, iterations) of the reference series row for size n."""
     for size, amplitude, iterations in REFERENCE_PEAKS:
@@ -84,10 +89,9 @@ class PointResult:
 
 @dataclass
 class ExperimentReport:
-    """All sweep point results plus where artifacts were written."""
+    """All sweep point results."""
 
     points: list[PointResult] = field(default_factory=list)
-    out_dir: Path | None = None
 
     @property
     def ok(self) -> bool:
@@ -102,11 +106,12 @@ class ExperimentReport:
             if point.error is not None:
                 lines.append(f"{point.label:<42} ERROR: {point.error}")
             else:
-                p = point.peak
-                crest = first_crest(point.trace)
+                p, crest = point.peak, _crest(point.trace)
+                crest_columns = (f"{'-':>10} {'-':>10}" if crest is None
+                                 else f"{crest.probability:>10.4f} {crest.iteration:>10d}")
                 lines.append(
                     f"{point.label:<42} {p.probability:>10.4f} {p.amplitude:>9.4f} "
-                    f"{p.iteration:>9d} {crest.probability:>10.4f} {crest.iteration:>10d}"
+                    f"{p.iteration:>9d} {crest_columns}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -137,7 +142,7 @@ def run_experiment(config: ExperimentConfig, out_dir: "str | Path | None" = None
     """Run every sweep point; write artifacts; surface per-point failures."""
     target = out_dir if out_dir is not None else config.out_dir
     base = Path(target) if target is not None else None
-    report = ExperimentReport(out_dir=base)
+    report = ExperimentReport()
     for label, build in config.sweep_points():
         try:
             run_config = build()
@@ -189,7 +194,6 @@ class TableRow:
 @dataclass
 class TableReport:
     rows: list[TableRow] = field(default_factory=list)
-    out_dir: Path | None = None
 
     def render(self) -> str:
         lines = [
@@ -215,40 +219,34 @@ def table_report(
     """Rerun the reference series and compare measured first crests against it.
 
     Raises ``ValueError`` naming the first (n, order) whose trace never falls
-    within the horizon, since its last round is no crest.
+    within the horizon, since its last round is no crest; every row runs
+    before any file is written, so a failing table leaves no output.
     """
     base = Path(out_dir) if out_dir is not None else None
-    report = TableReport(out_dir=base)
+    report = TableReport()
+    traces = []
     for n in sizes:
         # Every reference row is a perfect square; sizes without a row raise here.
         reference_amplitude, reference_iterations = reference_peak(n)
-        side = math.isqrt(n)
         for order in orders:
-            config = RunConfig(
-                GridGeometry(side), order=order, max_iterations=max_iterations
-            )
-            trace = run(config)
-            crest = first_crest(trace)
-            if crest.iteration == trace.probabilities.size:
+            trace = run(RunConfig(GridGeometry(_side_of(n)), order=order,
+                                  max_iterations=max_iterations))
+            crest = _crest(trace)
+            if crest is None:
                 raise ValueError(f"n={n} {order}: the marked probability still rises at the "
-                                 f"{crest.iteration}-round horizon, which holds no crest")
-            report.rows.append(
-                TableRow(
-                    n=n,
-                    order=order,
-                    amplitude=crest.amplitude,
-                    crest_round=crest.iteration,
-                    trace_max_amplitude=trace.peak.amplitude,
-                    trace_max_iteration=trace.peak.iteration,
-                    reference_amplitude=reference_amplitude,
-                    reference_iterations=reference_iterations,
-                )
-            )
-            if base is not None:
-                point_dir = base / f"table_n{n}_{order}"
-                point_dir.mkdir(parents=True, exist_ok=True)
-                emit_trace_csv(trace, point_dir / "trace.csv")
+                                 f"{trace.probabilities.size}-round horizon, which holds no crest")
+            report.rows.append(TableRow(
+                n=n, order=order, amplitude=crest.amplitude, crest_round=crest.iteration,
+                trace_max_amplitude=trace.peak.amplitude,
+                trace_max_iteration=trace.peak.iteration,
+                reference_amplitude=reference_amplitude, reference_iterations=reference_iterations,
+            ))
+            traces.append(trace)
     if base is not None:
+        for row, trace in zip(report.rows, traces):
+            point_dir = base / f"table_n{row.n}_{row.order}"
+            point_dir.mkdir(parents=True, exist_ok=True)
+            emit_trace_csv(trace, point_dir / "trace.csv")
         base.mkdir(parents=True, exist_ok=True)
         (base / "table_report.txt").write_text(report.render())
     return report

@@ -10,14 +10,15 @@ reflection, so a real float64 vector is exact, halves memory, and doubles
 throughput relative to a complex state.
 
 A run holds one of two states: ``GridState``, the amplitude vector, or
-``TileState``, a run over two d x d tile lattices held by one coefficient
-per tile and one delta per marked cell, built from the marked set and the
-two tile partitions.  Both answer the same reads: the norm, the marked
+``TileState``, one coefficient per tile of two d x d tile lattices and one
+delta per marked cell (the Grover reference's two lattices are the one
+tile, d = L).  Both answer the same reads: the norm, the marked
 amplitudes and the (L, L) grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -69,6 +70,14 @@ class GridGeometry:
     @property
     def cell_count(self) -> int:
         return self.side * self.side
+
+
+def _side_of(n: int) -> int:
+    """The side L of an n = L^2 grid; ValueError unless n is the square of some L >= 2."""
+    root = math.isqrt(max(n, 0))
+    if root * root != n or root < 2:
+        raise ValueError(f"{n} is not a perfect square of a side >= 2")
+    return root
 
 
 def normalize_coord(geometry: GridGeometry, cell: tuple[int, int]) -> Coord:
@@ -207,7 +216,9 @@ class TileState:
         stack = np.stack([np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1))])
         self.coefficients, self.signs = tuple(stack), np.ones(2)
         self._flat, (a, b), size = stack.reshape(-1), stack.reshape(2, -1), m * (m + 1) - 1
-        self._buffer = np.empty((m + 1) ** 2 - 1)
+        # 64-byte aligned: at 16-byte offsets an L = 1024 round ran 10-30% slower (Xeon VM).
+        raw = np.empty((m + 1) ** 2 + 7)
+        self._buffer = raw[-raw.ctypes.data % 64 // 8:][:(m + 1) ** 2 - 1]
         head, tail = self._buffer[m + 1:], self._buffer[:size]
         # A tile (p, q) meets B tile (p - er, q - ec) in rows[er] * cols[ec] cells, so with
         # T = X[ec = 0] + (c1/c0) X[ec = 1], W X = r0 c0 (T[er = 0] + (r1/r0) T[er = 1]).
@@ -246,6 +257,10 @@ class TileState:
         own[pad], own[:, pad] = own[edge], own[:, edge]
         self.signs[1 - k] *= -1.0
         np.negative(self.deltas, out=self.deltas)
+
+    def _oracle(self, marked: MarkedSet) -> None:
+        """a -> -a at each marked cell: c <- c - 2 a there (the ``operators`` docstring)."""
+        self.deltas -= 2.0 * self.marked_amplitudes(marked)
 
     @property
     def norm_squared(self) -> float:

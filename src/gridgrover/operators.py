@@ -7,15 +7,15 @@ Both are real involutions, applied in place:
   (reflect about the group's uniform superposition).
 
 There is no separate global diffusion: the complete-graph inversion about
-the mean is the diffusion of the one-tile tessellation,
-``DiffusionSpec(square_partition(geometry, geometry.side))``.  The
-operators do not check the norm; the round loop in ``simulator`` does, once
-per round.
+the mean is the reflection about the one-tile tessellation
+``square_partition(geometry, geometry.side)``, which the Grover reference
+in ``simulator`` runs on a one-tile ``TileState``.  The operators do not
+check the norm; the round loop in ``simulator`` does, once per round.
 
 A run over two d x d tile lattices holds a ``grid.TileState``, built from
 the marked set and the two tile partitions, and both operators update its
-tile coefficients, a = sum_x c_x e_x + up_A(M) + up_B(N), never the n
-amplitudes:
+tile coefficients through ``TileState._oracle`` and ``TileState._reflect``,
+a = sum_x c_x e_x + up_A(M) + up_B(N), never the n amplitudes:
 
 * oracle          -- c <- -c - 2 (M[A(x)] + N[B(x)]), that is a -> -a at
   each marked cell x, O(K);
@@ -62,10 +62,9 @@ class DiffusionSpec:
 def apply_oracle(state: "GridState | TileState", marked: MarkedSet) -> "GridState | TileState":
     """Negate the amplitudes of the marked cells in place; everything else is untouched."""
     if isinstance(state, TileState):
-        state.deltas -= 2.0 * state.marked_amplitudes(marked)
-        return state
-    idx = marked.indices(state.geometry)
-    state.amplitudes[idx] *= -1.0
+        state._oracle(marked)
+    else:
+        state.amplitudes[marked.indices(state.geometry)] *= -1.0
     return state
 
 

@@ -14,7 +14,8 @@ round they apply; one loop starts both from the uniform state, checks the
 norm once per round (keeping the largest drift), and records probabilities,
 snapshots and costs.  ``run`` holds a ``TileState``, O((L/d)^2) a round,
 when both partitions are tile lattices with one tile side, as in every
-table run; other pairs and the Grover reference hold a ``GridState``.
+table run, and a ``GridState`` for other pairs.  The Grover reference
+holds the one-tile (d = L) ``TileState``: O(K) a round for K marked cells.
 
 Cost accounting is nominal walk steps: 2*sqrt(n) once for building the
 initial superposition, then per round one step per oracle call plus each
@@ -23,7 +24,6 @@ diffusion's step cost (the tile side for squares, 1 for crosses).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -37,6 +37,7 @@ from .grid import (
     GridState,
     MarkedSet,
     TileState,
+    _side_of,
     coord_of_index,
     marked_probability,
     normalize_coord,
@@ -273,21 +274,19 @@ def run_grover_reference(
     The closed-form probability after k rounds is sin^2((2k+1) * theta) with
     sin^2(theta) = marked_count / n.  ``n`` must be L^2 for a grid side
     L >= 2: marked indices are row-major cells of that grid and snapshots
-    are L x L.  The inversion is the one-tile tessellation's diffusion,
-    written as two numpy passes.  Nominal steps count one per oracle call
+    are L x L.  The inversion is the reflection about the one-tile
+    tessellation, so the state is a ``TileState`` over that one tile and a
+    round costs O(marked_count).  Nominal steps count one per oracle call
     and one per diffusion; the walk-cost model of the grid algorithm does
     not apply to the complete graph.
     """
-    side = math.isqrt(n)
-    if side < 2 or side * side != n:
-        raise ValueError(f"n must be L^2 for a grid side L >= 2, got n={n}")
+    geometry = GridGeometry(_side_of(n))
     if not 1 <= marked_count < n:
         raise ValueError(f"need 1 <= marked_count < n, got marked_count={marked_count}, n={n}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be nonnegative")
-    geometry = GridGeometry(side)
     if marked_indices is None:
         marked_indices = range(marked_count)
     if not all(isinstance(i, numbers.Integral) for i in marked_indices):
@@ -296,14 +295,12 @@ def run_grover_reference(
     marked = MarkedSet(frozenset(coord_of_index(geometry, int(i)) for i in marked_indices))
     if len(marked.cells) != marked_count:
         raise ValueError("marked_indices must contain marked_count distinct indices")
-    idx = marked.indices(geometry)
+    tile = square_partition(geometry, geometry.side)
 
-    def apply_round(state: GridState) -> None:
-        a = state.amplitudes
-        a[idx] *= -1.0
-        np.subtract(2.0 * a.mean(), a, out=a)
+    def apply_round(state: TileState) -> None:
+        state._oracle(marked)
+        state._reflect(tile)
 
     per_round = CostCounters(oracle_calls=1, diffusion_applications=1, nominal_steps=2)
-    return _iterate(
-        uniform_state(geometry), marked, apply_round, iterations, snapshot_stride, per_round, 0
-    )
+    state = TileState(marked, tile, tile)
+    return _iterate(state, marked, apply_round, iterations, snapshot_stride, per_round, 0)

@@ -177,10 +177,27 @@ def test_snapshot_stride_beyond_the_horizon_exits_nonzero(tmp_path, capsys, comm
 
 def test_table_without_a_crest_in_the_horizon_exits_nonzero(tmp_path, capsys):
     # At 5 rounds the n = 256 trace still rises: its last round is no crest to compare.
-    assert main(["table", "--order", "ltr", "--max-iters", "5", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "table"
+    assert main(["table", "--order", "ltr", "--max-iters", "5", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "n=256 ltr: the marked probability still rises at the 5-round horizon" in captured.err
     assert captured.out == ""
+    # The n = 16 and 64 rows crest within 5 rounds, but no row is written before all have run.
+    assert not list(out.glob("table_n*")) and not (out / "table_report.txt").exists()
+
+
+def test_run_report_prints_no_crest_for_a_rising_trace(tmp_path, capsys):
+    # At L = 16 the probability still rises at round 5: the report shows no crest.
+    cfg = write_config(tmp_path, "L = 16\n")
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--max-iters", "5"]) == 0
+    report = (out / "report.txt").read_text()
+    assert report == capsys.readouterr().out
+    header, row = report.splitlines()
+    assert header.split()[-2:] == ["crest_prob", "crest_iter"]
+    assert row.split()[-2:] == ["-", "-"]
+    assert row.split()[3] == "5"  # the peak column still names the last round
+    assert len(row) == len(header)
 
 
 def test_missing_config_file(tmp_path, capsys):

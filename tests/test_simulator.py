@@ -199,6 +199,57 @@ def test_grover_reference_matches_closed_form():
             assert abs(trace.probabilities[k - 1] - expected) <= 1e-9, (n, m, k)
 
 
+def _closed_form_error(trace, n: int, marked_count: int) -> float:
+    theta = math.asin(math.sqrt(marked_count / n))
+    k = np.arange(1, trace.probabilities.size + 1)
+    return float(np.max(np.abs(trace.probabilities - np.sin((2 * k + 1) * theta) ** 2)))
+
+
+def test_grover_reference_holds_a_one_tile_state(monkeypatch):
+    states = []
+    real_iterate = simulator._iterate
+
+    def recording_iterate(state, *args, **kwargs):
+        states.append(state)
+        return real_iterate(state, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_iterate", recording_iterate)
+    run_grover_reference(400, 2, 5)
+    (state,) = states
+    assert type(state) is TileState
+    assert state.tile_side == 20
+    assert state.origins == ((0, 0), (0, 0))
+
+
+def test_grover_reference_calls_no_public_operator_and_no_run(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the Grover round must not call the public operators or run")
+
+    for name in ("apply_oracle", "apply_partition_diffusion", "run"):
+        monkeypatch.setattr(simulator, name, refuse)
+    for n, m in ((16, 1), (400, 3), (4096, 2)):
+        assert _closed_form_error(run_grover_reference(n, m, 60), n, m) <= 1e-9
+
+
+def test_grover_reference_at_two_to_the_thirty_holds_no_grid():
+    # An n = 2^30 amplitude vector would take 8 GiB; the one-tile state holds O(K).
+    tracemalloc.start()
+    try:
+        trace = run_grover_reference(2**30, 1, 2000, marked_indices=[123456789])
+        _current, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 2**20
+    assert _closed_form_error(trace, 2**30, 1) <= 1e-9
+    assert trace.marked_cells == ((3767, 19733),)
+
+
+def test_grover_reference_on_two_by_two_with_three_marked():
+    trace = run_grover_reference(4, 3, 12, marked_indices=[0, 1, 3])
+    assert trace.marked_cells == ((0, 0), (0, 1), (1, 1))
+    assert _closed_form_error(trace, 4, 3) <= 1e-12
+
+
 def test_grover_reference_small_and_large_examples():
     assert run_grover_reference(4, 1, 1).probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
