@@ -39,15 +39,10 @@ class PeakSummary:
 
     iteration: int
     probability: float
-    amplitude: float
 
-    def __post_init__(self) -> None:
-        if abs(self.amplitude**2 - self.probability) > 1e-12:
-            raise ValueError("amplitude must be the square root of probability")
-
-    @classmethod
-    def from_probability(cls, iteration: int, probability: float) -> "PeakSummary":
-        return cls(iteration, probability, math.sqrt(probability))
+    @property
+    def amplitude(self) -> float:
+        return math.sqrt(self.probability)
 
 
 @dataclass(frozen=True)
@@ -69,24 +64,27 @@ def peak(trace) -> PeakSummary:
     if probabilities.size == 0:
         raise ValueError("cannot locate a peak in an empty trace")
     best = int(np.argmax(probabilities))
-    return PeakSummary.from_probability(best + 1, float(probabilities[best]))
+    return PeakSummary(best + 1, float(probabilities[best]))
 
 
-def first_crest(trace) -> PeakSummary:
+def first_crest(trace) -> "PeakSummary | None":
     """Earliest local maximum: where the probability first stops rising.
 
     The probability climbs to a crest near sqrt(n) rounds, falls off, and
     later quasi-periodic revivals can edge slightly higher; the reference
     result series reports the first crest, so comparisons against it use
-    this rather than :func:`peak`.  Falls back to the last entry when the
-    trace is still rising at the horizon.
+    this rather than :func:`peak`.  None when no round is followed by a
+    non-rising one: the trace still rises at the horizon, so its last round
+    is no crest.
     """
     probabilities = np.asarray(getattr(trace, "probabilities", trace), dtype=np.float64)
     if probabilities.size == 0:
         raise ValueError("cannot locate a crest in an empty trace")
     falling = np.flatnonzero(probabilities[:-1] >= probabilities[1:])
-    at = int(falling[0]) if falling.size else probabilities.size - 1
-    return PeakSummary.from_probability(at + 1, float(probabilities[at]))
+    if not falling.size:
+        return None
+    at = int(falling[0])
+    return PeakSummary(at + 1, float(probabilities[at]))
 
 
 def scaling_fit(points: Iterable[tuple[float, float]]) -> ScalingFit:

@@ -44,12 +44,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = dataclasses.replace(
             config, sweep_n=(), sweep_d=(), sweep_tessellation=(), sweep_marked=()
         )
-    return config.with_overrides(
+    flags = dict(
         out_dir=str(args.out) if args.out is not None else None,
         order=getattr(args, "order", None),
         snapshot_stride=getattr(args, "snapshots", None),
         max_iterations=getattr(args, "max_iters", None),
     )
+    # ExperimentConfig checks itself, so the result is validated.
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -32,13 +32,13 @@ Keys::
 
 ``parse_config`` only turns text into typed values; every rule about those
 values lives in ``ExperimentConfig``, which checks itself on construction,
-so ``with_overrides`` and ``dataclasses.replace`` results are validated too.
+so ``dataclasses.replace`` results are validated too.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
 
@@ -198,20 +198,6 @@ class ExperimentConfig:
                 )
 
             yield label, build
-
-    def with_overrides(
-        self,
-        out_dir: "str | None" = None,
-        order: "str | None" = None,
-        snapshot_stride: "int | None" = None,
-        max_iterations: "int | None" = None,
-    ) -> "ExperimentConfig":
-        """Apply the command-line overrides that are not None; the result is validated."""
-        overrides = dict(
-            out_dir=out_dir, order=order, snapshot_stride=snapshot_stride,
-            max_iterations=max_iterations,
-        )
-        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _point_label(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import PeakSummary, first_crest
+from .analysis import first_crest
 from .config import ExperimentConfig
 from .outputs import emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
 from .grid import GridGeometry, _side_of
@@ -60,12 +60,6 @@ REFERENCE_PEAKS: tuple[tuple[int, float, int], ...] = (
 TABLE_SIZES: tuple[int, ...] = (16, 64, 256, 1024, 4096, 16384, 65536)
 
 
-def _crest(trace: SimulationTrace) -> "PeakSummary | None":
-    """The trace's first crest, or None while the probability still rises at the horizon."""
-    crest = first_crest(trace)
-    return None if crest.iteration == trace.probabilities.size else crest
-
-
 def reference_peak(n: int) -> tuple[float, int]:
     """(amplitude, iterations) of the reference series row for size n."""
     for size, amplitude, iterations in REFERENCE_PEAKS:
@@ -81,10 +75,6 @@ class PointResult:
     label: str
     trace: SimulationTrace | None = None
     error: str | None = None
-
-    @property
-    def peak(self) -> PeakSummary | None:
-        return self.trace.peak if self.trace is not None else None
 
 
 @dataclass
@@ -106,7 +96,7 @@ class ExperimentReport:
             if point.error is not None:
                 lines.append(f"{point.label:<42} ERROR: {point.error}")
             else:
-                p, crest = point.peak, _crest(point.trace)
+                p, crest = point.trace.peak, first_crest(point.trace)
                 crest_columns = (f"{'-':>10} {'-':>10}" if crest is None
                                  else f"{crest.probability:>10.4f} {crest.iteration:>10d}")
                 lines.append(
@@ -138,10 +128,9 @@ def write_point_artifacts(
         )
 
 
-def run_experiment(config: ExperimentConfig, out_dir: "str | Path | None" = None) -> ExperimentReport:
-    """Run every sweep point; write artifacts; surface per-point failures."""
-    target = out_dir if out_dir is not None else config.out_dir
-    base = Path(target) if target is not None else None
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run every sweep point; write artifacts under ``config.out_dir``; record failed points."""
+    base = Path(config.out_dir) if config.out_dir is not None else None
     report = ExperimentReport()
     for label, build in config.sweep_points():
         try:
@@ -231,14 +220,13 @@ def table_report(
         for order in orders:
             trace = run(RunConfig(GridGeometry(_side_of(n)), order=order,
                                   max_iterations=max_iterations))
-            crest = _crest(trace)
+            crest, peak = first_crest(trace), trace.peak
             if crest is None:
                 raise ValueError(f"n={n} {order}: the marked probability still rises at the "
                                  f"{trace.probabilities.size}-round horizon, which holds no crest")
             report.rows.append(TableRow(
                 n=n, order=order, amplitude=crest.amplitude, crest_round=crest.iteration,
-                trace_max_amplitude=trace.peak.amplitude,
-                trace_max_iteration=trace.peak.iteration,
+                trace_max_amplitude=peak.amplitude, trace_max_iteration=peak.iteration,
                 reference_amplitude=reference_amplitude, reference_iterations=reference_iterations,
             ))
             traces.append(trace)

@@ -19,6 +19,7 @@ amplitudes and the (L, L) grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -111,6 +112,14 @@ class MarkedSet:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("marked set must contain at least one cell")
+        # A float coordinate would index the wrong cell.  operator.index passes ints and numpy
+        # ints at a ninth of the cost of an isinstance on numbers.Integral.
+        try:
+            for cell in self.cells:
+                for v in cell:
+                    operator.index(v)
+        except TypeError:
+            raise ValueError(f"marked cells need integer coordinates, got {tuple(cell)}") from None
 
     @classmethod
     def of(cls, *cells: tuple[int, int]) -> "MarkedSet":
@@ -200,6 +209,14 @@ class TileState:
     offset: every pass is contiguous and 1-D, and one more window-sized
     buffer serves the overlap product and the norm.  ``deltas`` holds c in
     sorted cell order, ``marked_tiles`` each marked cell's tile per lattice.
+
+    The oracle, a -> -a at each marked cell x, sets
+    c <- -c - 2 (M[A(x)] + N[B(x)]), O(K).  The reflection about A sets
+    M <- M + (2/d^2) (W N + scatter_A(c)), N <- -N and c <- -c, where
+    (W N)[t] sums the B tiles meeting A tile t weighted by the cells they
+    share: a two-tap sum along the columns into the buffer, then along the
+    rows into M.  N <- -N flips N's sign; the reflection about B is the
+    mirror image.
     """
 
     def __init__(self, marked: MarkedSet, local: "Partition", dispersion: "Partition"):
@@ -240,7 +257,7 @@ class TileState:
         self.check_norm()
 
     def _reflect(self, partition: "Partition") -> None:
-        """2P - I about one of the two lattices (the ``operators`` docstring has the update)."""
+        """2P - I about one of the two lattices (the class docstring has the update)."""
         d, (si, sj) = self.tile_side, partition.tile_shift
         k = self._lattices.get((partition.tile_side, (si % d, sj % d)))
         if k is None:
@@ -259,7 +276,7 @@ class TileState:
         np.negative(self.deltas, out=self.deltas)
 
     def _oracle(self, marked: MarkedSet) -> None:
-        """a -> -a at each marked cell: c <- c - 2 a there (the ``operators`` docstring)."""
+        """a -> -a at each marked cell: c <- c - 2 a there."""
         self.deltas -= 2.0 * self.marked_amplitudes(marked)
 
     @property

@@ -15,16 +15,7 @@ check the norm; the round loop in ``simulator`` does, once per round.
 A run over two d x d tile lattices holds a ``grid.TileState``, built from
 the marked set and the two tile partitions, and both operators update its
 tile coefficients through ``TileState._oracle`` and ``TileState._reflect``,
-a = sum_x c_x e_x + up_A(M) + up_B(N), never the n amplitudes:
-
-* oracle          -- c <- -c - 2 (M[A(x)] + N[B(x)]), that is a -> -a at
-  each marked cell x, O(K);
-* reflection on A -- M <- M + (2/d^2) (W N + scatter_A(c)), N <- -N,
-  c <- -c, where (W N)[t] sums the B tiles meeting A tile t weighted by the
-  cells they share; reflection on B is the mirror image.  N <- -N flips
-  the sign the state keeps for N.  Tiles overlap in d - s or s lines per
-  axis, s the lattices' relative shift, so W N is a two-tap sum along the
-  columns into the state's one spare buffer, then along the rows into M.
+never the n amplitudes; the ``TileState`` docstring gives the updates.
 
 Every other run holds a ``GridState``, the amplitude vector.  Crosses, four
 corners and custom groups reflect it through one ``bincount`` of the

@@ -9,7 +9,6 @@ pixel, written without any graphics dependency and viewable directly.
 from __future__ import annotations
 
 import csv
-import math
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -30,22 +29,19 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips any float64.
-    return format(float(x), ".17g")
-
-
 def emit_trace_csv(trace, path: "str | Path") -> Path:
     """Write ``iteration,marked_probability,marked_amplitude,nominal_steps``.
 
-    One row per completed round, numbered from 1.
+    One row per completed round, numbered from 1; 17 significant digits
+    round-trip any float64.
     """
+    probabilities = np.asarray(trace.probabilities, dtype=np.float64)
+    rows = zip(range(1, probabilities.size + 1), probabilities.tolist(),
+               np.sqrt(probabilities).tolist(), np.asarray(trace.cumulative_steps).tolist())
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "marked_probability", "marked_amplitude", "nominal_steps"])
-        for k, (p, steps) in enumerate(zip(trace.probabilities, trace.cumulative_steps), start=1):
-            writer.writerow([k, _fmt(p), _fmt(math.sqrt(p)), int(steps)])
+        handle.write("iteration,marked_probability,marked_amplitude,nominal_steps\r\n")
+        handle.writelines("%d,%.17g,%.17g,%d\r\n" % row for row in rows)
     return path
 
 

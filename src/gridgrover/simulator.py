@@ -177,8 +177,12 @@ class SimulationTrace:
     cumulative_steps: np.ndarray
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
-    peak: analysis.PeakSummary | None = None
     max_norm_drift: float = 0.0
+
+    @property
+    def peak(self) -> analysis.PeakSummary:
+        """The earliest global maximum of ``probabilities``."""
+        return analysis.peak(self.probabilities)
 
 
 def snapshot(state: "GridState | TileState") -> np.ndarray:
@@ -231,7 +235,6 @@ def _iterate(
             diffusion_applications=per_round.diffusion_applications * iterations,
             nominal_steps=initial_steps + per_round.nominal_steps * iterations,
         ),
-        peak=analysis.peak(probabilities),
         max_norm_drift=max_drift,
     )
 

@@ -53,16 +53,17 @@ def test_first_crest_vs_peak():
     trace = [0.1, 0.5, 0.9, 0.4, 0.95, 0.2]
     assert first_crest(trace).iteration == 3
     assert peak(trace).iteration == 5
-    # still rising at the horizon: fall back to the last entry
-    assert first_crest([0.1, 0.2, 0.3]).iteration == 3
+    # still rising at the horizon, or a single round: the last round is no crest
+    assert first_crest([0.1, 0.2, 0.3]) is None
+    assert first_crest([0.7]) is None
     assert first_crest([0.5, 0.5, 0.1]).iteration == 1
 
 
-def test_peak_summary_consistency_check():
-    with pytest.raises(ValueError):
-        PeakSummary(iteration=1, probability=0.9, amplitude=0.5)
-    summary = PeakSummary.from_probability(2, 0.25)
-    assert summary.amplitude == 0.5
+def test_peak_summary_amplitude_is_sqrt_probability():
+    assert PeakSummary(2, 0.25).amplitude == 0.5
+    summary = PeakSummary(iteration=1, probability=0.9)
+    assert summary.amplitude == math.sqrt(0.9)
+    assert summary == first_crest([0.9, 0.4]) == peak([0.9, 0.4])
 
 
 def test_scaling_fit_recovers_square_root_exactly():

@@ -117,7 +117,7 @@ def test_snapshot_stride_must_fit_every_horizon():
     config = parse_config("L = 40\nsnapshot_stride = 40\n" + emit)
     for overrides in (dict(max_iterations=39), dict(snapshot_stride=161)):
         with pytest.raises(ConfigError, match="round horizon of a point"):
-            config.with_overrides(**overrides)
+            dataclasses.replace(config, **overrides)
 
 
 def test_grids_are_stored_only_for_the_emitters(tmp_path):
@@ -130,10 +130,11 @@ def test_grids_are_stored_only_for_the_emitters(tmp_path):
     )
     quiet = parse_config("L = 16\nemit_trace = false\n")
     with pytest.raises(ConfigError):
-        quiet.with_overrides(snapshot_stride=2)
+        dataclasses.replace(quiet, snapshot_stride=2)
     ((_label, build),) = quiet.sweep_points()
     assert build().snapshot_stride == 0
-    (point,) = run_experiment(quiet, tmp_path).points
+    quiet = dataclasses.replace(quiet, out_dir=str(tmp_path))
+    (point,) = run_experiment(quiet).points
     assert point.trace.snapshots == {}
     for emit in ("emit_snapshots", "emit_heatmaps"):
         ((_label, build),) = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True}).sweep_points()
@@ -179,12 +180,12 @@ def test_sweep_marked_placements():
     assert cells == [((1, 1),), ((5, 5),)]
 
 
-def test_with_overrides_revalidates():
+def test_replace_revalidates():
     config = parse_config("L = 8\nemit_heatmaps = true\nsnapshot_stride = 1\n")
-    bumped = config.with_overrides(order="rtl", snapshot_stride=2, max_iterations=9)
+    bumped = dataclasses.replace(config, order="rtl", snapshot_stride=2, max_iterations=9)
     assert (bumped.order, bumped.snapshot_stride, bumped.max_iterations) == ("rtl", 2, 9)
     with pytest.raises(ConfigError):
-        config.with_overrides(snapshot_stride=-3)
+        dataclasses.replace(config, snapshot_stride=-3)
 
 
 def test_boolean_parsing():
@@ -258,7 +259,7 @@ def test_docstring_lists_every_key():
     assert documented == set(config._KEYS)
 
 
-def test_with_overrides_and_replace_validate():
+def test_replace_reports_every_violation():
     base = parse_config("L = 8\n")
     with pytest.raises(ConfigError) as err:
         dataclasses.replace(base, side=10)
@@ -267,7 +268,7 @@ def test_with_overrides_and_replace_validate():
         "shifted-square tessellation needs d | L: 4 does not divide 10",
     ]
     with pytest.raises(ConfigError) as err:
-        base.with_overrides(order="diagonal", max_iterations=0)
+        dataclasses.replace(base, order="diagonal", max_iterations=0)
     assert len(err.value.violations) == 2
 
 

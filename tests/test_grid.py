@@ -137,6 +137,16 @@ def test_marked_set_nonempty_and_wrap_collisions():
     assert len(clashing.indices(GridGeometry(8))) == 2
 
 
+def test_marked_set_rejects_non_integer_coordinates():
+    # On an 8-grid (1.5, 2) would index cell 14, that is (1, 6), while a trace names (1.5, 2).
+    for cell in ((1.5, 2), (1, 2.0), (np.float64(3), 0)):
+        with pytest.raises(ValueError, match="need integer coordinates"):
+            MarkedSet.of(cell)
+    # NumPy integers mark the same cell as ints.
+    numpy_cell = MarkedSet.of((np.int64(1), np.int32(2)))
+    assert numpy_cell.indices(GridGeometry(8)).tolist() == [10]
+
+
 def test_marked_set_normalized_sorted():
     cells = MarkedSet.of((5, -1), (0, 0)).normalized(GridGeometry(4))
     assert cells == (Coord(0, 0), Coord(1, 3))

@@ -1,4 +1,6 @@
 import csv
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gridgrover import (
     emit_trace_csv,
     read_trace_csv,
     run,
+    run_grover_reference,
     square_partition,
     uniform_state,
 )
@@ -43,6 +46,34 @@ def test_trace_csv_round_trips_exactly(tmp_path, small_trace):
         columns["marked_amplitude"], np.sqrt(columns["marked_probability"])
     )
     np.testing.assert_array_equal(columns["nominal_steps"], small_trace.cumulative_steps)
+
+
+def reference_trace_csv(trace, path):
+    # The per-row csv.writer emitter, kept as the byte reference.
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["iteration", "marked_probability", "marked_amplitude", "nominal_steps"])
+        for k, (p, steps) in enumerate(zip(trace.probabilities, trace.cumulative_steps), start=1):
+            writer.writerow([k, format(float(p), ".17g"), format(math.sqrt(p), ".17g"), int(steps)])
+
+
+def test_trace_csv_bytes_match_reference_emitter(tmp_path):
+    g = GridGeometry(16)
+    traces = {
+        "ltr": run(RunConfig(g, order="ltr")),
+        "rtl": run(RunConfig(g, order="rtl")),
+        "grover": run_grover_reference(256, 2, 40),
+        # 1.0 prints as "1"; values below 1e-5 print in exponent form.
+        "hand_built": SimpleNamespace(
+            probabilities=np.array([1.0, 9.5e-6, 2.5e-7, 5e-324, 0.0, 1 / 3]),
+            cumulative_steps=np.arange(6, dtype=np.int64) * 10**12,
+        ),
+    }
+    for name, trace in traces.items():
+        reference_trace_csv(trace, tmp_path / f"{name}_reference.csv")
+        emit_trace_csv(trace, tmp_path / f"{name}.csv")
+        expected = (tmp_path / f"{name}_reference.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
 
 
 def test_emitted_files_are_byte_deterministic(tmp_path, small_trace):
