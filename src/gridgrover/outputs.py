@@ -9,7 +9,6 @@ pixel, written without any graphics dependency and viewable directly.
 from __future__ import annotations
 
 import csv
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +57,57 @@ def read_trace_csv(path: "str | Path") -> dict[str, np.ndarray]:
     return columns
 
 
+# Cells per block of the cell-CSV writer (at least one grid row): bounds its working memory.
+CELL_BLOCK = 4096
+
+
+def _pieces(fmt: str, values: "range | list", end: str) -> "tuple[np.ndarray, ...]":
+    """``fmt % v`` for each value, as one uint8 array and each piece's start and length in it.
+
+    Every piece ends in ``end``, which occurs nowhere else in it.
+    """
+    text = np.frombuffer(((fmt * len(values)) % tuple(values)).encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(text == ord(end)) + 1
+    lens = np.diff(ends, prepend=0)
+    return text, ends - lens, lens
+
+
 def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | Path") -> Path:
-    """Write ``header``, then one ``i,j,value`` row per cell, row-major, formatting a row at once."""
-    cols = range(grid.shape[1])
-    line = f"%d,%d,{value_fmt}\r\n" * len(cols)
+    """Write ``header``, then one ``i,j,value`` row per cell, row-major.
+
+    A run's grid holds few distinct values, so each block of rows formats only
+    its distinct values (distinct bit patterns: 0.0 and -0.0 keep their own text)
+    and gathers every line from its row, column and value pieces at once.
+    """
+    rows, cols = grid.shape
+    block_rows = max(1, CELL_BLOCK // max(cols, 1))
+    col_text, col_starts, col_lens = _pieces("%d,", range(cols), ",")
     path = Path(path)
-    with path.open("w", newline="") as handle:
-        handle.write(header + "\r\n")
-        for i, row in enumerate(grid):
-            handle.write(line % tuple(chain.from_iterable(zip(repeat(i), cols, row.tolist()))))
+    with path.open("wb") as handle:
+        handle.write(f"{header}\r\n".encode("ascii"))
+        for top in range(0, rows, block_rows):
+            block = np.ascontiguousarray(grid[top:top + block_rows])
+            height = block.shape[0]
+            keys, inverse = np.unique(block.reshape(-1).view(f"u{block.itemsize}"),
+                                      return_inverse=True)
+            row_text, row_starts, row_lens = _pieces("%d,", range(top, top + height), ",")
+            value_text, value_starts, value_lens = _pieces(
+                f"{value_fmt}\r\n", keys.view(block.dtype).tolist(), "\n")
+            source = np.concatenate((col_text, row_text, value_text))
+            row_starts += col_text.size
+            value_starts += col_text.size + row_text.size
+            # Starts and lengths of cell (i, j)'s row, column and value text in ``source``.
+            starts = np.empty((height, cols, 3), dtype=np.intp)
+            lens = np.empty_like(starts)
+            starts[..., 0], lens[..., 0] = row_starts[:, None], row_lens[:, None]
+            starts[..., 1], lens[..., 1] = col_starts, col_lens
+            starts[..., 2] = value_starts[inverse].reshape(height, cols)
+            lens[..., 2] = value_lens[inverse].reshape(height, cols)
+            # Ragged gather: byte b of the piece at (start, length) is source[start + b].
+            starts, lens = starts.reshape(-1), lens.reshape(-1)
+            index = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            index += np.arange(index.size)
+            handle.write(source[index])
     return path
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,19 +9,25 @@ from hypothesis import given, strategies as st
 
 from gridgrover import (
     GridGeometry,
+    MarkedSet,
     RunConfig,
     bin_index,
+    cross_partition,
+    custom_partition,
     emit_heatmap,
     emit_partition_csv,
     emit_snapshot_csv,
     emit_trace_csv,
+    four_corners_partition,
     read_trace_csv,
     run,
     run_grover_reference,
+    shifted_square_partition,
     square_partition,
+    translate_partition,
     uniform_state,
 )
-from gridgrover.outputs import DEFAULT_HEATMAP_COLORS
+from gridgrover.outputs import CELL_BLOCK, DEFAULT_HEATMAP_COLORS
 
 
 @pytest.fixture(scope="module")
@@ -106,20 +113,90 @@ def reference_snapshot_csv(grid, path):
                 writer.writerow([i, j, format(float(grid[i, j]), ".17g")])
 
 
+def _run_snapshot(config):
+    """The last stored grid of a run, checked to repeat values as a run over two partitions does."""
+    trace = run(config)
+    grid = trace.snapshots[max(trace.snapshots)]
+    assert np.unique(grid.view(np.uint64)).size < grid.size / 2
+    return grid
+
+
 def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
     rng = np.random.default_rng(11)
     grid = rng.normal(size=(400, 400)) / 400
     grid[0, :4] = [-0.0, 5e-324, np.inf, 1 / 3]
     grid[399, 399] = -np.inf
     grid[17, 3] = 1e300
-    reference_snapshot_csv(grid, tmp_path / "reference.csv")
-    emit_snapshot_csv(grid, tmp_path / "snap.csv")
-    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    # A non-square grid keeps its row and column numbering.
-    wide = grid[:3, :7]
-    reference_snapshot_csv(wide, tmp_path / "wide_reference.csv")
-    emit_snapshot_csv(wide, tmp_path / "wide.csv")
-    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "wide_reference.csv").read_bytes()
+    g = GridGeometry(40)
+    marked = MarkedSet.of((3, 5), (21, 30))
+    # Signed zeros and NaNs of two payloads share one block; each bit pattern keeps its text.
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    specials = np.resize(np.array([0.0, -0.0, *nans, 0.5]), (6, 7))
+    rows_per_block = CELL_BLOCK // 300
+    assert rows_per_block and 29 % rows_per_block
+    grids = {
+        "distinct": grid,
+        # A non-square grid keeps its row and column numbering.
+        "wide": grid[:3, :7],
+        "tile_run": _run_snapshot(RunConfig(g, marked, max_iterations=12, snapshot_stride=12)),
+        "cross_run": _run_snapshot(RunConfig(g, marked, local_partition=cross_partition(g),
+                                             max_iterations=12, snapshot_stride=12)),
+        "specials": specials,
+        # One row per block.
+        "wider_than_block": np.round(rng.normal(size=(3, CELL_BLOCK + 5)), 2),
+        # The last block holds fewer rows than the others.
+        "short_last_block": np.round(rng.normal(size=(29, 300)), 3),
+        "single": np.array([[0.1]]),
+        "no_columns": np.zeros((3, 0)),
+        "no_rows": np.zeros((0, 3)),
+    }
+    for name, values in grids.items():
+        reference_snapshot_csv(values, tmp_path / f"{name}_reference.csv")
+        emit_snapshot_csv(values, tmp_path / f"{name}.csv")
+        expected = (tmp_path / f"{name}_reference.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+
+
+def test_snapshot_csv_memory_stays_within_a_block(tmp_path):
+    # An L = 1024 snapshot is 8 MiB; the writer holds a block's pieces, not the file's.
+    grid = _run_snapshot(RunConfig(GridGeometry(1024), max_iterations=2, snapshot_stride=2))
+    tracemalloc.start()
+    try:
+        emit_snapshot_csv(grid, tmp_path / "snap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def reference_partition_csv(partition, path):
+    # The per-cell csv.writer emitter, kept as the byte reference.
+    side = partition.geometry.side
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["i", "j", "group"])
+        for cell, group in enumerate(partition.group_ids.tolist()):
+            writer.writerow([cell // side, cell % side, group])
+
+
+def test_partition_csv_bytes_match_reference_emitter(tmp_path):
+    g = GridGeometry(60)
+    cells = np.random.default_rng(5).permutation(g.cell_count)
+    # Uneven groups of scattered cells, numbered in order.
+    hand = [[divmod(int(c), 60) for c in group] for group in np.split(cells, [1, 7, 900, 2000])]
+    partitions = {
+        "square": square_partition(g, 4),
+        "shifted_square": shifted_square_partition(g, 6),
+        "cross": cross_partition(g),
+        "moved_cross": translate_partition(cross_partition(g), (3, 7)),
+        "four_corners": four_corners_partition(g, 3),
+        "custom": custom_partition(g, hand),
+    }
+    for name, partition in partitions.items():
+        reference_partition_csv(partition, tmp_path / f"{name}_reference.csv")
+        emit_partition_csv(partition, tmp_path / f"{name}.csv")
+        expected = (tmp_path / f"{name}_reference.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
 
 
 def test_partition_csv(tmp_path):
