@@ -46,6 +46,14 @@ __all__ = [
 # Tolerance on |sum(a^2) - 1|, checked on construction and once per simulated round.
 NORM_ATOL = 1e-9
 
+# A tile lattice's window of up to TILE_ONE_BLOCK numbers is one block; a larger one runs its
+# reflection and norm in row blocks of about TILE_BLOCK numbers, so each buffer row is read back
+# from L2 right after it is written.  Set by interleaved round timings at d = 4 (Xeon VM, 2 MiB
+# of L2 per core): at L = 1024 one block beat 2^15- and 2^16-number blocks by about 5%; at
+# L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.
+TILE_ONE_BLOCK = 2**17
+TILE_BLOCK = 2**15
+
 
 class NormDriftError(RuntimeError):
     """Raised when the squared norm of a state drifts beyond ``NORM_ATOL``."""
@@ -216,7 +224,11 @@ class TileState:
     (W N)[t] sums the B tiles meeting A tile t weighted by the cells they
     share: a two-tap sum along the columns into the buffer, then along the
     rows into M.  N <- -N flips N's sign; the reflection about B is the
-    mirror image.
+    mirror image.  With s = d/2 on both axes both tap ratios are 1 and go
+    unmultiplied, so a reflection makes four passes over the window (six
+    for other shifts).  A window of more than ``TILE_ONE_BLOCK`` numbers
+    runs these passes, and the norm's, in row blocks of about
+    ``TILE_BLOCK`` numbers, so each buffer block is read back from L2.
     """
 
     def __init__(self, marked: MarkedSet, local: "Partition", dispersion: "Partition"):
@@ -232,23 +244,38 @@ class TileState:
         self._lattices = {(d, tuple(o % d for o in self.origins[k])): k for k in (1, 0)}
         stack = np.stack([np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1))])
         self.coefficients, self.signs = tuple(stack), np.ones(2)
-        self._flat, (a, b), size = stack.reshape(-1), stack.reshape(2, -1), m * (m + 1) - 1
+        width = m + 1
+        self._flat, (a, b), size = stack.reshape(-1), stack.reshape(2, -1), m * width - 1
         # 64-byte aligned: at 16-byte offsets an L = 1024 round ran 10-30% slower (Xeon VM).
-        raw = np.empty((m + 1) ** 2 + 7)
-        self._buffer = raw[-raw.ctypes.data % 64 // 8:][:(m + 1) ** 2 - 1]
-        head, tail = self._buffer[m + 1:], self._buffer[:size]
+        raw = np.empty(width**2 + 7)
+        buffer = raw[-raw.ctypes.data % 64 // 8:][:width**2 - 1]
+        head, tail = buffer[width:], buffer[:size]
         # A tile (p, q) meets B tile (p - er, q - ec) in rows[er] * cols[ec] cells, so with
         # T = X[ec = 0] + (c1/c0) X[ec = 1], W X = r0 c0 (T[er = 0] + (r1/r0) T[er = 1]).
         rows, cols = ((d - s, s) for s in shift)
         self._scale = 2.0 / (d * d)
         self._taps = (self._scale * rows[0] * cols[0], cols[1] / cols[0], rows[1] / rows[0])
+        # Window blocks of whole rows.  Block [lo, hi) reads buffer [lo, hi + width) and fills
+        # the part no earlier block filled.  Scaling T[er = 1] in place rewrites T[er = 0] of
+        # the block above for A and of the block below for B, so A's blocks run top-down and
+        # B's bottom-up.
+        block_rows = m if size <= TILE_ONE_BLOCK else max(1, TILE_BLOCK // width)
+        cuts = [*range(0, size, block_rows * width), size]
+        blocks = list(zip(cuts, cuts[1:]))
+        fills = ([0, *(c + width for c in cuts[1:])], [*cuts[:-1], buffer.size])
         # Per lattice: its window; the other's ec = 0 and ec = 1 taps; T at er = 0 and er = 1.
-        self._passes = ((a[:size], b[1:], b[:-1], head, tail),
-                        (b[m + 2:], a[:-1], a[1:], tail, head))
-        # The norm's overlap regions, aligned with A's window, and its spare column there.
-        self._regions = [(rows[er] * cols[ec], b[o:o + size]) for er in (0, 1) for ec in (0, 1)
-                         if rows[er] * cols[ec] for o in [(1 - er) * (m + 1) + 1 - ec]]
-        self._region, self._spare = tail, tail[m::m + 1]
+        lattices = ((a[:size], b[1:], b[:-1], head, tail), (b[m + 2:], a[:-1], a[1:], tail, head))
+        self._passes = tuple(
+            [(window[lo:hi], tap0[p:q], tap1[p:q], buffer[p:q], t0[lo:hi], t1[lo:hi])
+             for (lo, hi), p, q in zip(blocks, fill, fill[1:])][::1 - 2 * k]
+            for k, ((window, tap0, tap1, t0, t1), fill) in enumerate(zip(lattices, fills)))
+        # The norm's overlap regions, aligned with A's window, block by block.  Every block sums
+        # into the buffer's first block, which stays in L2, and drops its spare column there.
+        regions = [(rows[er] * cols[ec], b[o:o + size]) for er in (0, 1) for ec in (0, 1)
+                   if rows[er] * cols[ec] for o in [(1 - er) * width + 1 - ec]]
+        self._norm_passes = [(cells, a[lo:hi], other[lo:hi], region, region[m::width])
+                             for lo, hi in blocks for region in [tail[:hi - lo]]
+                             for cells, other in regions]
         self.deltas = np.zeros(len(marked.cells))
         cell_rows, cell_cols = np.divmod(marked.indices(geometry), side)
         self.marked_tiles = np.stack([((k * (m + 1) + (cell_rows - o_r) % side // d + k) * (m + 1)
@@ -262,13 +289,20 @@ class TileState:
         k = self._lattices.get((partition.tile_side, (si % d, sj % d)))
         if k is None:
             raise ValueError("partition is neither tile lattice of the tile state")
-        (window, tap0, tap1, at0, at1), (kappa, col_ratio, row_ratio) = self._passes[k], self._taps
-        np.multiply(tap1, col_ratio, out=self._buffer)
-        self._buffer += tap0
-        self._buffer *= kappa * self.signs[0] * self.signs[1]
-        window += at0
-        at1 *= row_ratio
-        window += at1
+        kappa, col_ratio, row_ratio = self._taps
+        weight = kappa * self.signs[0] * self.signs[1]
+        # A ratio of 1 (shift d/2) is not multiplied: x * 1.0 is exact, so the sums are the same.
+        for window, tap0, tap1, buffer, at0, at1 in self._passes[k]:
+            if col_ratio == 1.0:
+                np.add(tap0, tap1, out=buffer)
+            else:
+                np.multiply(tap1, col_ratio, out=buffer)
+                buffer += tap0
+            buffer *= weight
+            window += at0
+            if row_ratio != 1.0:
+                at1 *= row_ratio
+            window += at1
         np.add.at(self._flat, self.marked_tiles[k], (self._scale * self.signs[k]) * self.deltas)
         own, pad, edge = self.coefficients[k], k - 1, -k  # A's spares copy line 0, B's line m
         own[pad], own[:, pad] = own[edge], own[:, edge]
@@ -283,9 +317,9 @@ class TileState:
     def norm_squared(self) -> float:
         # Each overlap region is constant at M + N; the marked cells add c on top.
         combine = np.add if self.signs[0] == self.signs[1] else np.subtract
-        region, spare, total = self._region, self._spare, 0.0
-        for cells, other in self._regions:
-            combine(self._passes[0][0], other, out=region)
+        total = 0.0
+        for cells, window, other, region, spare in self._norm_passes:
+            combine(window, other, out=region)
             total += cells * (float(region @ region) - float(spare @ spare))
         marked = self.marked_amplitudes(self.marked)
         tile = marked - self.deltas

@@ -29,7 +29,7 @@ from gridgrover import (
     translate_partition,
     uniform_state,
 )
-from gridgrover import simulator
+from gridgrover import grid, simulator
 from gridgrover.simulator import DEFAULT_ORDER, STEP_DISPERSION, STEP_LOCAL, STEP_ORACLE
 from dense import dense_diffusion, dense_oracle
 
@@ -382,9 +382,11 @@ def test_trace_keeps_the_largest_norm_drift(monkeypatch, kind):
 def test_tile_norm_drift_stays_at_rounding_level():
     # The tile norm sums (M + N)^2 over each overlap region.  Expanded as
     # d^2 (|M|^2 + |N|^2) + 2 sum_r cells_r M . N_r it cancels large terms: that
-    # form drifted 6.8e-10 on this run and past 1e-9 in 1200 rounds at L = 2048.
-    trace = run(RunConfig(GridGeometry(1024), max_iterations=640))
-    assert trace.max_norm_drift <= 1e-12
+    # form drifted 6.8e-10 at L = 1024 and past 1e-9 in 1200 rounds at L = 2048.
+    # L = 2048 runs the norm in row blocks.
+    for side in (1024, 2048):
+        trace = run(RunConfig(GridGeometry(side), max_iterations=640))
+        assert trace.max_norm_drift <= 1e-12, side
 
 
 def test_run_never_builds_coord_groups():
@@ -591,34 +593,80 @@ def test_tile_state_matches_grid_state_after_every_operator(config, sequence):
             assert np.max(np.abs(tile.as_grid() - history[-3])) <= 1e-12, k
 
 
+def assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tile_run_configs(), st.integers(1, 60))
+@example(EDGE_CASE_CONFIGS[0], 1)
+@example(EDGE_CASE_CONFIGS[0], 8)
+@example(EDGE_CASE_CONFIGS[1], 1)
+@example(EDGE_CASE_CONFIGS[1], 8)
+@example(EDGE_CASE_CONFIGS[2], 1)
+@example(EDGE_CASE_CONFIGS[3], 1)
+@example(EDGE_CASE_CONFIGS[3], 14)
+@example(EDGE_CASE_CONFIGS[4], 1)
+@example(EDGE_CASE_CONFIGS[5], 1)
+@example(EDGE_CASE_CONFIGS[6], 1)
+def test_tile_row_blocks_match_one_block(config, block):
+    # Every window here is one block by default; forced row blocks of about ``block``
+    # numbers (whole rows, the last one short) must give the same bits.  The relative
+    # shift (0, 2) of EDGE_CASE_CONFIGS[0] has a zero row tap that B scales in place, so
+    # its blocks must run bottom-up: run top-down, its norm drifted by 3.8.
+    one_block = run(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "TILE_ONE_BLOCK", 0)
+        patch.setattr(grid, "TILE_BLOCK", block)
+        blocked = assert_tile_run_matches_grid_state(config)
+    assert_bitwise_equal(blocked.probabilities, one_block.probabilities)
+    assert_bitwise_equal(blocked.per_cell_probabilities, one_block.per_cell_probabilities)
+    assert sorted(blocked.snapshots) == sorted(one_block.snapshots)
+    for k, grid_values in one_block.snapshots.items():
+        assert_bitwise_equal(blocked.snapshots[k], grid_values)
+
+
+def test_tile_windows_block_only_past_l2():
+    # d = 4: L = 1024 runs one block, exactly the unblocked passes; L = 2048 runs row blocks.
+    for side, blocks in ((1024, 1), (2048, 9)):
+        state = tile_state_of(RunConfig(GridGeometry(side)))
+        assert [len(passes) for passes in state._passes] == [blocks, blocks]
+        assert len(state._norm_passes) == 4 * blocks
+
+
 def test_tile_rounds_allocate_no_window_sized_array():
     # At L = 1024 and d = 4 the two coefficient arrays and the one buffer hold 528 KB
     # each and fit a 2 MiB L2 together; a window-sized temporary in a round would not.
-    config = RunConfig(GridGeometry(1024))
-    state, steps = tile_state_of(config), [operators_of(config)[step] for step in config.steps]
+    # L = 2048 runs in row blocks, where a block-sized temporary would show too.
+    for side in (1024, 2048):
+        config = RunConfig(GridGeometry(side))
+        state = tile_state_of(config)
+        steps = [operators_of(config)[step] for step in config.steps]
 
-    def rounds(count):
-        for _ in range(count):
-            for apply, operand in steps:
-                apply(state, operand)
-            state.check_norm()
-            state.marked_amplitudes(config.marked)
+        def rounds(count):
+            for _ in range(count):
+                for apply, operand in steps:
+                    apply(state, operand)
+                state.check_norm()
+                state.marked_amplitudes(config.marked)
 
-    rounds(1)
-    tracemalloc.start()
-    try:
-        rounds(8)
-        _current, peak_bytes = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak_bytes < 64 * 2**10
+        rounds(1)
+        tracemalloc.start()
+        try:
+            rounds(8)
+            _current, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 64 * 2**10, side
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("side,rounds", [(1024, 640), (256, 2000)])
 def test_tile_state_matches_grid_state_on_long_runs(side, rounds):
-    # The coefficients grow about linearly with the rounds (a few hundred times the
-    # uniform amplitude after 2000); the agreement must hold all the same.
+    # The round pumps the gauge mode (M + g, N - g), which leaves the amplitudes alone:
+    # at L = 256 mean(M) reads -0.60, -0.64, -0.56 and +0.44 at rounds 100, 640, 1200
+    # and 2000: bounded, but about 150 times the uniform amplitude.  The agreement must
+    # hold all the same.
     config = RunConfig(GridGeometry(side), max_iterations=rounds, snapshot_stride=rounds)
     trace = assert_tile_run_matches_grid_state(config)
     assert sorted(trace.snapshots) == [rounds]
