@@ -63,6 +63,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "make_partition", "parse_config"]
 
 _LOCAL_KINDS = (KIND_SQUARE, KIND_CROSS, KIND_FOUR_CORNERS)
 _DISPERSION_KINDS = (KIND_SHIFTED_SQUARE, KIND_SQUARE, KIND_CROSS, KIND_FOUR_CORNERS)
+_NO_SIDE = "one of 'L' or 'n' is required"
 
 
 class ConfigError(ValueError):
@@ -112,7 +113,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         violations: list[str] = []
         if self.side is None:  # the text gave neither L nor n
-            violations.append("one of 'L' or 'n' is required")
+            violations.append(_NO_SIDE)
         elif self.side < 2:
             violations.append(f"L: side must be at least 2, got {self.side}")
         elif self.marked_cells and len(self.marked_cells) != len(
@@ -308,7 +309,8 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         config = ExperimentConfig(side=fields.pop("side", None), **fields)
     except ConfigError as exc:
-        violations.extend(exc.violations)
+        # After a bad L or n the side is missing only because that key reported itself.
+        violations.extend(v for v in exc.violations if v != _NO_SIDE or not seen & {"L", "n"})
     if violations:
         raise ConfigError(violations)
     return config

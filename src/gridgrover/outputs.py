@@ -61,15 +61,10 @@ def read_trace_csv(path: "str | Path") -> dict[str, np.ndarray]:
 CELL_BLOCK = 4096
 
 
-def _pieces(fmt: str, values: "range | list", end: str) -> "tuple[np.ndarray, ...]":
-    """``fmt % v`` for each value, as one uint8 array and each piece's start and length in it.
-
-    Every piece ends in ``end``, which occurs nowhere else in it.
-    """
-    text = np.frombuffer(((fmt * len(values)) % tuple(values)).encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(text == ord(end)) + 1
-    lens = np.diff(ends, prepend=0)
-    return text, ends - lens, lens
+def _texts(fmt: str, values: "range | list") -> np.ndarray:
+    """``fmt % v`` for each value, as a NUL-padded numpy ``bytes`` array."""
+    text = (f"{fmt}\0" * len(values)) % tuple(values)
+    return np.array(text.encode("ascii").split(b"\0")[:-1], dtype=np.bytes_)
 
 
 def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | Path") -> Path:
@@ -77,37 +72,25 @@ def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | P
 
     A run's grid holds few distinct values, so each block of rows formats only
     its distinct values (distinct bit patterns: 0.0 and -0.0 keep their own text)
-    and gathers every line from its row, column and value pieces at once.
+    and joins every line from its row, column and value text as NUL-padded bytes,
+    then drops the padding (no formatted number holds a NUL).
     """
     rows, cols = grid.shape
     block_rows = max(1, CELL_BLOCK // max(cols, 1))
-    col_text, col_starts, col_lens = _pieces("%d,", range(cols), ",")
+    col_text = _texts("%d,", range(cols))
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(f"{header}\r\n".encode("ascii"))
         for top in range(0, rows, block_rows):
             block = np.ascontiguousarray(grid[top:top + block_rows])
-            height = block.shape[0]
             keys, inverse = np.unique(block.reshape(-1).view(f"u{block.itemsize}"),
                                       return_inverse=True)
-            row_text, row_starts, row_lens = _pieces("%d,", range(top, top + height), ",")
-            value_text, value_starts, value_lens = _pieces(
-                f"{value_fmt}\r\n", keys.view(block.dtype).tolist(), "\n")
-            source = np.concatenate((col_text, row_text, value_text))
-            row_starts += col_text.size
-            value_starts += col_text.size + row_text.size
-            # Starts and lengths of cell (i, j)'s row, column and value text in ``source``.
-            starts = np.empty((height, cols, 3), dtype=np.intp)
-            lens = np.empty_like(starts)
-            starts[..., 0], lens[..., 0] = row_starts[:, None], row_lens[:, None]
-            starts[..., 1], lens[..., 1] = col_starts, col_lens
-            starts[..., 2] = value_starts[inverse].reshape(height, cols)
-            lens[..., 2] = value_lens[inverse].reshape(height, cols)
-            # Ragged gather: byte b of the piece at (start, length) is source[start + b].
-            starts, lens = starts.reshape(-1), lens.reshape(-1)
-            index = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-            index += np.arange(index.size)
-            handle.write(source[index])
+            row_text = _texts("%d,", range(top, top + len(block)))
+            value_text = _texts(f"{value_fmt}\r\n", keys.view(block.dtype).tolist())
+            lines = np.char.add(np.char.add(row_text[:, None], col_text),
+                                value_text[inverse].reshape(block.shape))
+            data = lines.view(np.uint8)
+            handle.write(data[data != 0])
     return path
 
 

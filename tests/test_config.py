@@ -216,6 +216,9 @@ def test_garbled_line_reported_with_number():
         ("L = 0\nd = 2\n", ["L: side must be at least 2, got 0"]),
         ("L = 0\n", ["L: side must be at least 2, got 0"]),
         ("d = 4\n", ["one of 'L' or 'n' is required"]),
+        ("n = 0\n", ["n: 0 is not a perfect square of a side >= 2"]),
+        ("n = 17\n", ["n: 17 is not a perfect square of a side >= 2"]),
+        ("L = abc\n", ["L: expected an integer, got 'abc'"]),
         ("L = 8\nheatmap_scale = 0\n", ["heatmap_scale: must be a positive integer, got 0"]),
     ],
 )
@@ -228,7 +231,7 @@ def test_invalid_values_are_reported_not_replaced(text, violations):
 def test_negative_sizes_are_config_errors():
     with pytest.raises(ConfigError) as err:
         parse_config("n = -4\n")
-    assert err.value.violations[0] == "n: -4 is not a perfect square of a side >= 2"
+    assert list(err.value.violations) == ["n: -4 is not a perfect square of a side >= 2"]
     with pytest.raises(ConfigError) as err:
         parse_config("L = 4\nsweep_n = -16\n")
     assert list(err.value.violations) == ["sweep_n: -16 is not a perfect square of a side >= 2"]

@@ -158,15 +158,19 @@ def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
 
 
 def test_snapshot_csv_memory_stays_within_a_block(tmp_path):
-    # An L = 1024 snapshot is 8 MiB; the writer holds a block's pieces, not the file's.
+    # An L = 1024 snapshot is 8 MiB and an L = 1000 cross map 7.6 MiB; the writer
+    # holds one block's text, not the file's.
     grid = _run_snapshot(RunConfig(GridGeometry(1024), max_iterations=2, snapshot_stride=2))
-    tracemalloc.start()
-    try:
-        emit_snapshot_csv(grid, tmp_path / "snap.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    partition = cross_partition(GridGeometry(1000))
+    assert partition.group_ids.size == 1000**2  # derived and cached outside the traced write
+    for emit, source in ((emit_snapshot_csv, grid), (emit_partition_csv, partition)):
+        tracemalloc.start()
+        try:
+            emit(source, tmp_path / "cells.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, emit.__name__
 
 
 def reference_partition_csv(partition, path):
