@@ -10,12 +10,12 @@ size, with the reference's iteration column equal to exactly two
 oracle-diffusion pairs per round.  Both toggles remain available.
 
 ``run`` and the complete-graph ``run_grover_reference`` differ only in the
-round they apply; one loop starts both from the uniform state, checks the
-norm once per round (keeping the largest drift), and records probabilities,
-snapshots and costs.  ``run`` holds a ``TileState``, O((L/d)^2) a round,
-when both partitions are tile lattices with one tile side, as in every
-table run, and a ``GridState`` for other pairs.  The Grover reference
-holds the one-tile (d = L) ``TileState``: O(K) a round for K marked cells.
+(apply, operand) steps of their round; one loop runs both from the uniform
+state, checks the norm once per round (keeping the largest drift), and
+records probabilities, snapshots and costs.  ``run`` holds the state that
+``grid`` picks: a ``TileState``, O((L/d)^2) a round, for two tile lattices
+of one side, as in every table run, else a ``GridState``.  The Grover
+reference holds the one-tile (d = L) ``TileState``: O(K) a round.
 
 Cost accounting is nominal walk steps: 2*sqrt(n) once for building the
 initial superposition, then per round one step per oracle call plus each
@@ -38,10 +38,10 @@ from .grid import (
     MarkedSet,
     TileState,
     _side_of,
+    _uniform_start,
     coord_of_index,
     marked_probability,
     normalize_coord,
-    uniform_state,
 )
 from .operators import DiffusionSpec, apply_oracle, apply_partition_diffusion
 from .tessellation import Partition, shifted_square_partition, square_partition
@@ -187,19 +187,20 @@ class SimulationTrace:
 
 def snapshot(state: "GridState | TileState") -> np.ndarray:
     """Row-major (L, L) copy of the amplitudes; never aliases the run."""
-    return state.as_grid().copy()
+    return state.as_grid()
 
 
 def _iterate(
     state: "GridState | TileState",
     marked: MarkedSet,
-    apply_round: Callable[["GridState | TileState"], None],
+    steps: Sequence[tuple[Callable[..., None], object]],
     iterations: int,
     stride: int,
     per_round: CostCounters,
     initial_steps: int,
 ) -> SimulationTrace:
-    """The round loop: apply ``apply_round`` to a uniform ``state`` in place, check the norm, record.
+    """The round loop: apply each ``(apply, operand)`` of ``steps`` to a uniform ``state`` in
+    place, as ``apply(state, operand)``, then check the norm and record.
 
     ``per_round`` holds the counts one round adds; the totals and the
     cumulative step column follow from them.
@@ -212,7 +213,8 @@ def _iterate(
     max_drift = 0.0
 
     for iteration in range(1, iterations + 1):
-        apply_round(state)
+        for apply, operand in steps:
+            apply(state, operand)
         max_drift = max(max_drift, state.check_norm())
         picked = state.marked_amplitudes(marked)
         per_cell[iteration - 1] = picked * picked
@@ -247,20 +249,11 @@ def run(config: RunConfig) -> SimulationTrace:
         STEP_DISPERSION: (apply_partition_diffusion, DiffusionSpec(config.dispersion_partition)),
     }
     steps = [operators[step] for step in config.steps]
-
-    def apply_round(state: GridState) -> None:
-        for apply, operand in steps:
-            apply(state, operand)
-
     oracles = config.steps.count(STEP_ORACLE)
     per_round = CostCounters(oracles, len(steps) - oracles, config.steps_per_iteration)
-    local, dispersion = config.local_partition, config.dispersion_partition
-    if local.tile_side is not None and local.tile_side == dispersion.tile_side:
-        state = TileState(config.marked, local, dispersion)
-    else:
-        state = uniform_state(config.geometry)
+    state = _uniform_start(config.marked, config.local_partition, config.dispersion_partition)
     return _iterate(
-        state, config.marked, apply_round, config.max_iterations,
+        state, config.marked, steps, config.max_iterations,
         config.snapshot_stride, per_round, initial_steps=2 * config.geometry.side,
     )
 
@@ -299,11 +292,7 @@ def run_grover_reference(
     if len(marked.cells) != marked_count:
         raise ValueError("marked_indices must contain marked_count distinct indices")
     tile = square_partition(geometry, geometry.side)
-
-    def apply_round(state: TileState) -> None:
-        state._oracle(marked)
-        state._reflect(tile)
-
+    steps = ((TileState._oracle, marked), (TileState._reflect, tile))
     per_round = CostCounters(oracle_calls=1, diffusion_applications=1, nominal_steps=2)
     state = TileState(marked, tile, tile)
-    return _iterate(state, marked, apply_round, iterations, snapshot_stride, per_round, 0)
+    return _iterate(state, marked, steps, iterations, snapshot_stride, per_round, 0)

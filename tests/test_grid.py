@@ -8,10 +8,13 @@ from gridgrover import (
     GridState,
     MarkedSet,
     NormDriftError,
+    TileState,
     cell_index,
     coord_of_index,
     marked_probability,
     normalize_coord,
+    shifted_square_partition,
+    square_partition,
     uniform_state,
 )
 
@@ -116,10 +119,17 @@ def test_grid_state_copies_input():
     assert state.amplitudes[0] == 1.0
 
 
-def test_as_grid_is_a_view():
-    state = uniform_state(GridGeometry(2))
-    state.as_grid()[0, 0] = -0.5
-    assert state.amplitudes[0] == -0.5
+def test_as_grid_returns_a_fresh_array():
+    # Both states hand out a new (L, L) array; writing to it changes neither state.
+    g = GridGeometry(8)
+    marked = MarkedSet.of((3, 5))
+    tiles = TileState(marked, square_partition(g, 4), shifted_square_partition(g, 4))
+    for state in (uniform_state(g), tiles):
+        before = state.as_grid()
+        state.as_grid()[...] = -1.0
+        assert before.shape == (8, 8)
+        np.testing.assert_array_equal(state.as_grid(), before)
+        assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_geometry_requires_side_at_least_two():

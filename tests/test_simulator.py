@@ -20,6 +20,7 @@ from gridgrover import (
     default_horizon,
     default_marked_cell,
     first_crest,
+    four_corners_partition,
     peak,
     run,
     run_grover_reference,
@@ -439,6 +440,24 @@ def test_run_picks_the_state_by_partition_pair(monkeypatch):
     run(RunConfig(g, local_partition=cross_partition(g), max_iterations=2))
     run(RunConfig(g, local_partition=square_partition(g, 2), max_iterations=2))
     assert kinds == [TileState, TileState, GridState, GridState]
+    # Over every ordered pair of named partitions, run holds a TileState exactly when one
+    # can be built: the tile-pair rule has one form.
+    g = GridGeometry(40)
+    partitions = [cross_partition(g), translate_partition(square_partition(g, 4), (1, 3))]
+    for d in (2, 4):
+        for build in (square_partition, shifted_square_partition, four_corners_partition):
+            partitions.append(build(g, d))
+    marked = MarkedSet.of(default_marked_cell(g))
+    for local in partitions:
+        for dispersion in partitions:
+            kinds.clear()
+            run(RunConfig(g, marked, local, dispersion, max_iterations=1))
+            try:
+                TileState(marked, local, dispersion)
+            except ValueError:
+                assert kinds == [GridState], (local.kind, dispersion.kind)
+            else:
+                assert kinds == [TileState], (local.kind, dispersion.kind)
 
 
 def test_tile_state_rejects_foreign_operators():
