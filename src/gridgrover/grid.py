@@ -48,7 +48,7 @@ __all__ = [
 NORM_ATOL = 1e-9
 
 # A tile lattice's window of up to TILE_ONE_BLOCK numbers is one block; a larger one runs its
-# reflection and norm in row blocks of about TILE_BLOCK numbers, so each buffer row is read back
+# reflection and norm in row blocks of about TILE_BLOCK numbers, so each scratch row is read back
 # from L2 right after it is written.  Set by interleaved round timings at d = 4 (Xeon VM, 2 MiB
 # of L2 per core): at L = 1024 one block beat 2^15- and 2^16-number blocks by about 5%; at
 # L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.
@@ -258,25 +258,25 @@ class TileState:
     [0, d), o = ``origins[0]``; B's is moved by the lattices' relative shift
     s in [0, d) per axis, so per axis A tile p meets B tiles p and p - 1 in
     d - s and s lines.  ``coefficients`` are two (m + 1)^2 arrays, m = L/d,
-    in one stacked buffer: M in [:m, :m], N in [1:, 1:], the spare row and
+    in one stacked array: M in [:m, :m], N in [1:, 1:], the spare row and
     column repeating the opposite edge (the torus wrap), and lattice k is
     ``signs[k] * coefficients[k]``.  Each lattice's tiles lie in one flat
     window, the other's tiles of each overlap region in a slice at a fixed
-    offset: every pass is contiguous and 1-D, and one more window-sized
-    buffer serves the overlap product and the norm.  ``deltas`` holds c in
+    offset: every pass is contiguous and 1-D, and one block-sized scratch
+    serves the overlap product and the norm.  ``deltas`` holds c in
     sorted cell order, ``marked_tiles`` each marked cell's tile per lattice.
 
     The oracle, a -> -a at each marked cell x, sets
     c <- -c - 2 (M[A(x)] + N[B(x)]), O(K).  The reflection about A sets
     M <- M + (2/d^2) (W N + scatter_A(c)), N <- -N and c <- -c, where
     (W N)[t] sums the B tiles meeting A tile t weighted by the cells they
-    share: a two-tap sum along the columns into the buffer, then along the
+    share: a two-tap sum along the columns into the scratch, then along the
     rows into M.  N <- -N flips N's sign; the reflection about B is the
     mirror image.  With s = d/2 on both axes both tap ratios are 1 and go
     unmultiplied, so a reflection makes four passes over the window (six
     for other shifts).  A window of more than ``TILE_ONE_BLOCK`` numbers
     runs these passes, and the norm's, in row blocks of about
-    ``TILE_BLOCK`` numbers, so each buffer block is read back from L2.
+    ``TILE_BLOCK`` numbers, so the scratch is read back from L2.
     """
 
     def __init__(self, marked: MarkedSet, local: "Partition", dispersion: "Partition"):
@@ -290,39 +290,36 @@ class TileState:
         self.origins = (tuple(origin), tuple(o + s for o, s in zip(origin, shift)))
         # (d, origin mod d) -> lattice; identical lattices reflect about A, written last.
         self._lattices = {(d, tuple(o % d for o in self.origins[k])): k for k in (1, 0)}
-        stack = np.stack([np.full((m + 1, m + 1), 1.0 / side), np.zeros((m + 1, m + 1))])
+        stack = np.zeros((2, m + 1, m + 1))
+        stack[0] = 1.0 / side
         self.coefficients, self.signs = tuple(stack), np.ones(2)
         width = m + 1
         self._flat, (a, b), size = stack.reshape(-1), stack.reshape(2, -1), m * width - 1
-        # 64-byte aligned: at 16-byte offsets an L = 1024 round ran 10-30% slower (Xeon VM).
-        raw = np.empty(width**2 + 7)
-        buffer = raw[-raw.ctypes.data % 64 // 8:][:width**2 - 1]
-        head, tail = buffer[width:], buffer[:size]
         # A tile (p, q) meets B tile (p - er, q - ec) in rows[er] * cols[ec] cells, so with
         # T = X[ec = 0] + (c1/c0) X[ec = 1], W X = r0 c0 (T[er = 0] + (r1/r0) T[er = 1]).
         rows, cols = ((d - s, s) for s in shift)
         self._scale = 2.0 / (d * d)
         self._taps = (self._scale * rows[0] * cols[0], cols[1] / cols[0], rows[1] / rows[0])
-        # Window blocks of whole rows.  Block [lo, hi) reads buffer [lo, hi + width) and fills
-        # the part no earlier block filled.  Scaling T[er = 1] in place rewrites T[er = 0] of
-        # the block above for A and of the block below for B, so A's blocks run top-down and
-        # B's bottom-up.
+        # Window blocks of whole rows.  Block [lo, hi) fills scratch[:hi - lo + width] from the
+        # taps over [lo, hi + width), both its T rows width apart, so blocks run in any order.
         block_rows = m if size <= TILE_ONE_BLOCK else max(1, TILE_BLOCK // width)
         cuts = [*range(0, size, block_rows * width), size]
         blocks = list(zip(cuts, cuts[1:]))
-        fills = ([0, *(c + width for c in cuts[1:])], [*cuts[:-1], buffer.size])
-        # Per lattice: its window; the other's ec = 0 and ec = 1 taps; T at er = 0 and er = 1.
-        lattices = ((a[:size], b[1:], b[:-1], head, tail), (b[m + 2:], a[:-1], a[1:], tail, head))
+        # 64-byte aligned: at 16-byte offsets an L = 1024 round ran 10-30% slower (Xeon VM).
+        raw = np.empty((block_rows + 1) * width + 7)
+        scratch = raw[-raw.ctypes.data % 64 // 8:][:(block_rows + 1) * width]
+        # Per lattice: its window; the other's ec = 0 and ec = 1 taps; T[er = 0], T[er = 1] offsets.
+        lattices = ((a[:size], b[1:], b[:-1], width, 0), (b[m + 2:], a[:-1], a[1:], 0, width))
         self._passes = tuple(
-            [(window[lo:hi], tap0[p:q], tap1[p:q], buffer[p:q], t0[lo:hi], t1[lo:hi])
-             for (lo, hi), p, q in zip(blocks, fill, fill[1:])][::1 - 2 * k]
-            for k, ((window, tap0, tap1, t0, t1), fill) in enumerate(zip(lattices, fills)))
+            [(window[lo:hi], tap0[lo:hi + width], tap1[lo:hi + width], scratch[:hi - lo + width],
+              scratch[t0:t0 + hi - lo], scratch[t1:t1 + hi - lo]) for lo, hi in blocks]
+            for window, tap0, tap1, t0, t1 in lattices)
         # The norm's overlap regions, aligned with A's window, block by block.  Every block sums
-        # into the buffer's first block, which stays in L2, and drops its spare column there.
+        # into the scratch, which stays in L2, and drops its spare column there.
         regions = [(rows[er] * cols[ec], b[o:o + size]) for er in (0, 1) for ec in (0, 1)
                    if rows[er] * cols[ec] for o in [(1 - er) * width + 1 - ec]]
         self._norm_passes = [(cells, a[lo:hi], other[lo:hi], region, region[m::width])
-                             for lo, hi in blocks for region in [tail[:hi - lo]]
+                             for lo, hi in blocks for region in [scratch[:hi - lo]]
                              for cells, other in regions]
         self.deltas = np.zeros(len(marked.cells))
         cell_rows, cell_cols = np.divmod(marked.indices(geometry), side)
@@ -340,13 +337,13 @@ class TileState:
         kappa, col_ratio, row_ratio = self._taps
         weight = kappa * self.signs[0] * self.signs[1]
         # A ratio of 1 (shift d/2) is not multiplied: x * 1.0 is exact, so the sums are the same.
-        for window, tap0, tap1, buffer, at0, at1 in self._passes[k]:
+        for window, tap0, tap1, scratch, at0, at1 in self._passes[k]:
             if col_ratio == 1.0:
-                np.add(tap0, tap1, out=buffer)
+                np.add(tap0, tap1, out=scratch)
             else:
-                np.multiply(tap1, col_ratio, out=buffer)
-                buffer += tap0
-            buffer *= weight
+                np.multiply(tap1, col_ratio, out=scratch)
+                scratch += tap0
+            scratch *= weight
             window += at0
             if row_ratio != 1.0:
                 at1 *= row_ratio

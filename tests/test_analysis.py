@@ -40,6 +40,8 @@ def test_peak_tie_breaks_earliest():
 def test_peak_rejects_empty():
     with pytest.raises(ValueError):
         peak([])
+    with pytest.raises(ValueError, match="empty trace"):
+        first_crest([])
 
 
 def test_peak_ignores_lower_tail():

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridgrover import read_trace_csv
+from gridgrover import read_trace_csv, table_report
 from gridgrover.cli import main
 
 
@@ -184,6 +184,10 @@ def test_table_without_a_crest_in_the_horizon_exits_nonzero(tmp_path, capsys):
     assert captured.out == ""
     # The n = 16 and 64 rows crest within 5 rounds, but no row is written before all have run.
     assert not list(out.glob("table_n*")) and not (out / "table_report.txt").exists()
+    # A size without a reference row fails before any row runs.
+    with pytest.raises(KeyError, match="no reference row for n=100"):
+        table_report(out, sizes=(16, 100))
+    assert not out.exists()
 
 
 def test_run_report_prints_no_crest_for_a_rising_trace(tmp_path, capsys):

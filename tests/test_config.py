@@ -15,7 +15,9 @@ from gridgrover import (
     parse_config,
     run_experiment,
 )
-from gridgrover.tessellation import KIND_CROSS, KIND_SHIFTED_SQUARE, KIND_SQUARE
+from gridgrover.tessellation import (
+    KIND_CROSS, KIND_FOUR_CORNERS, KIND_SHIFTED_SQUARE, KIND_SQUARE,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,6 +202,9 @@ def test_make_partition_dispatch():
     g = GridGeometry(20)
     assert make_partition(g, KIND_SQUARE, 4).kind == KIND_SQUARE
     assert make_partition(g, KIND_CROSS, 4).group_count == 80
+    shifted = make_partition(g, KIND_SHIFTED_SQUARE, 4)
+    assert (shifted.kind, shifted.tile_shift, shifted.step_cost) == (KIND_SHIFTED_SQUARE, (2, 2), 4)
+    assert make_partition(g, KIND_FOUR_CORNERS, 2).kind == KIND_FOUR_CORNERS
     with pytest.raises(ValueError):
         make_partition(g, "hexagon", 4)
 
