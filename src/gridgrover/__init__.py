@@ -6,17 +6,7 @@ dispersion so amplitude can travel, with a complete-graph Grover reference
 for comparison.
 """
 
-from .analysis import (
-    MultiMarkedSummary,
-    PeakSummary,
-    ScalingFit,
-    chebyshev_distance,
-    first_crest,
-    multi_marked_summary,
-    neighborhood_mass,
-    peak,
-    scaling_fit,
-)
+from .analysis import PeakSummary, ScalingFit, first_crest, peak, scaling_fit
 from .config import ConfigError, ExperimentConfig, make_partition, parse_config
 from .experiments import (
     REFERENCE_PEAKS,

@@ -1,31 +1,20 @@
 """Post-processing of simulation traces.
 
-Peak detection, log-log scaling fits over (n, peak iteration) series,
-probability mass near the marked cells (the "pyramid" the dynamics builds),
-and combined/per-item summaries for multi-marked runs.
+Peaks, first crests, and log-log scaling fits over (n, crest iteration)
+series.  The amplitude pyramid and the per-cell split of a multi-marked run
+need no helper: they are read from a trace's ``snapshots`` and
+``per_cell_probabilities``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .grid import Coord, GridGeometry, GridState, MarkedSet, normalize_coord
-
-__all__ = [
-    "MultiMarkedSummary",
-    "PeakSummary",
-    "ScalingFit",
-    "chebyshev_distance",
-    "first_crest",
-    "multi_marked_summary",
-    "neighborhood_mass",
-    "peak",
-    "scaling_fit",
-]
+__all__ = ["PeakSummary", "ScalingFit", "first_crest", "peak", "scaling_fit"]
 
 
 @dataclass(frozen=True)
@@ -103,52 +92,3 @@ def scaling_fit(points: Iterable[tuple[float, float]]) -> ScalingFit:
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return ScalingFit(exponent=float(slope), prefactor=float(np.exp(intercept)), residual=residual)
-
-
-def chebyshev_distance(geometry: GridGeometry, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Chebyshev distance on the torus: per-axis wrap, then max."""
-    ca = normalize_coord(geometry, a)
-    cb = normalize_coord(geometry, b)
-    side = geometry.side
-    dr = abs(ca.row - cb.row)
-    dc = abs(ca.col - cb.col)
-    return max(min(dr, side - dr), min(dc, side - dc))
-
-
-def neighborhood_mass(state: GridState, marked: MarkedSet, radius: int) -> float:
-    """Probability on cells within torus-Chebyshev ``radius`` of any marked cell."""
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    geometry = state.geometry
-    side = geometry.side
-    rows = np.arange(side)[:, None]
-    cols = np.arange(side)[None, :]
-    within = np.zeros((side, side), dtype=bool)
-    for cell in marked.normalized(geometry):
-        dr = np.abs(rows - cell.row)
-        dc = np.abs(cols - cell.col)
-        dist = np.maximum(np.minimum(dr, side - dr), np.minimum(dc, side - dc))
-        within |= dist <= radius
-    grid = state.as_grid()
-    return float(np.sum(grid[within] ** 2))
-
-
-@dataclass(frozen=True)
-class MultiMarkedSummary:
-    """Combined peak of a multi-marked run plus the per-cell split there."""
-
-    combined: PeakSummary
-    split: tuple[tuple[Coord, float], ...]
-
-
-def multi_marked_summary(trace, marked: MarkedSet) -> MultiMarkedSummary:
-    """Combined peak over the horizon and each cell's probability at it."""
-    cells: Sequence[Coord] = trace.marked_cells
-    if len(cells) < 2:
-        raise ValueError("multi-marked summary needs at least two marked cells; use peak()")
-    if set(cells) != set(marked.normalized(trace.geometry)):
-        raise ValueError("marked set does not match the cells recorded in the trace")
-    combined = peak(trace)
-    at_peak = trace.per_cell_probabilities[combined.iteration - 1]
-    split = tuple((cell, float(p)) for cell, p in zip(cells, at_peak))
-    return MultiMarkedSummary(combined=combined, split=split)

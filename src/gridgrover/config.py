@@ -25,10 +25,11 @@ Keys::
     emit_heatmaps       write heatmap rasters (needs snapshot_stride >= 1)
     emit_partition      write partition CSVs
     heatmap_scale       integer pixel upscale for rasters (default 1)
-    sweep_n             n values to sweep
-    sweep_d             d values to sweep
-    sweep_tessellation  local kinds to sweep
-    sweep_marked        marked placements to sweep, one (i, j) pair each
+    sweep_n             distinct n values to sweep
+    sweep_d             distinct d values to sweep
+    sweep_tessellation  distinct local kinds to sweep
+    sweep_marked        marked placements to sweep, one (i, j) pair each,
+                        distinct on every swept grid
 
 ``parse_config`` only turns text into typed values; every rule about those
 values lives in ``ExperimentConfig``, which checks itself on construction,
@@ -141,6 +142,15 @@ class ExperimentConfig:
         for side, kind, tile in product(sides, (*kinds, self.dispersion_kind), tiles):
             if tile >= 1 and (problem := tiling_problem(side, kind, tile)):
                 violations.append(problem)
+        # A repeated value would run one sweep point twice into one output directory.
+        for key, values in (("sweep_n", self.sweep_n), ("sweep_d", self.sweep_d),
+                            ("sweep_tessellation", self.sweep_tessellation)):
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                violations.append(f"{key}: {repeated!r} is listed more than once")
+        cells = self.sweep_marked
+        if clash := [s for s in sides if len({(i % s, j % s) for i, j in cells}) < len(cells)]:
+            violations.append(f"sweep_marked: two placements coincide on the {clash[0]}-side grid")
         if self.order not in _ORDERS:
             names = " or ".join(map(repr, _ORDERS))
             violations.append(f"order: expected {names}, got {self.order!r}")

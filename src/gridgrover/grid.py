@@ -389,7 +389,11 @@ class TileState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """Read-only flat copy of ``as_grid()``."""
+        """Read-only flat copy of ``as_grid()``.
+
+        No command reads it: perfbench's tracer sizes every traced state by it,
+        so it stays until the tracer reads ``geometry.cell_count`` instead.
+        """
         values = self.as_grid().reshape(-1)
         values.flags.writeable = False
         return values

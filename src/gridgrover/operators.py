@@ -31,7 +31,12 @@ __all__ = ["DiffusionSpec", "apply_oracle", "apply_partition_diffusion"]
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Reflection about the group superpositions of a partition."""
+    """Reflection about the group superpositions of a partition.
+
+    It holds only the partition, which ``run`` could pass to the state itself.
+    It stays while perfbench's tracer names ``DiffusionSpec.__init__`` as a
+    setup span and reads ``spec.partition`` to tag each diffusion.
+    """
 
     partition: Partition
 

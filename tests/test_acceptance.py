@@ -23,7 +23,6 @@ from gridgrover import (
     apply_partition_diffusion,
     bin_index,
     first_crest,
-    multi_marked_summary,
     reference_peak,
     run,
     run_grover_reference,
@@ -170,12 +169,9 @@ def test_criterion_5_multi_marked():
 
     dist2 = MarkedSet.of((11, 11), (11, 9))
     dist10 = MarkedSet.of((11, 11), (11, 1))
-    crest2 = first_crest(run(RunConfig(g, marked=dist2)))
-    crest10 = first_crest(run(RunConfig(g, marked=dist10)))
     trace2 = run(RunConfig(g, marked=dist2))
     trace10 = run(RunConfig(g, marked=dist10))
-    summary2 = multi_marked_summary(trace2, dist2)
-    summary10 = multi_marked_summary(trace10, dist10)
+    crest2, crest10 = first_crest(trace2), first_crest(trace10)
 
     antipodal = first_crest(run(RunConfig(g, marked=MarkedSet.of((11, 11), (1, 1)))))
     print(
@@ -187,7 +183,7 @@ def test_criterion_5_multi_marked():
     below_ok = far_crest.probability < single.probability
     order_ok = (
         crest2.probability <= crest10.probability
-        and summary2.combined.probability <= summary10.combined.probability
+        and trace2.peak.probability <= trace10.peak.probability
     )
     report(
         "5 multi-marked",

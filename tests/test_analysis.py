@@ -1,23 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgrover import (
     GridGeometry,
-    GridState,
     MarkedSet,
     PeakSummary,
     RunConfig,
-    chebyshev_distance,
     first_crest,
-    marked_probability,
-    multi_marked_summary,
-    neighborhood_mass,
     peak,
     run,
     scaling_fit,
-    uniform_state,
 )
 
 # Closed-form least-squares slope of the reference series' ten rows in
@@ -108,66 +103,25 @@ def test_scaling_fit_recovers_power_laws(exponent, prefactor):
     assert abs(fit.prefactor - prefactor) <= 1e-6 * prefactor
 
 
-def test_chebyshev_distance_wraps():
-    g = GridGeometry(20)
-    assert chebyshev_distance(g, (0, 0), (0, 0)) == 0
-    assert chebyshev_distance(g, (1, 1), (19, 19)) == 2
-    assert chebyshev_distance(g, (0, 0), (10, 10)) == 10
-    assert chebyshev_distance(g, (5, 15), (15, 5)) == 10
-
-
-def test_neighborhood_mass_radius_zero_and_whole_torus():
-    g = GridGeometry(8)
-    marked = MarkedSet.of((3, 3))
-    state = uniform_state(g)
-    assert neighborhood_mass(state, marked, 0) == pytest.approx(
-        marked_probability(state, marked), abs=1e-15
-    )
-    assert neighborhood_mass(state, marked, 4) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        neighborhood_mass(state, marked, -1)
-
-
-def test_neighborhood_mass_monotone_in_radius():
-    trace = run(RunConfig(GridGeometry(8), snapshot_stride=1))
-    state = GridState(GridGeometry(8), trace.snapshots[8].ravel())
-    marked = MarkedSet.of(tuple(trace.marked_cells[0]))
-    masses = [neighborhood_mass(state, marked, r) for r in range(5)]
-    assert all(b >= a - 1e-15 for a, b in zip(masses, masses[1:]))
-    assert masses[-1] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_pyramid_forms_around_the_marked_cell():
-    # at the 400-cell crest the radius-4 neighborhood holds strictly more
+    # at the 400-cell crest the cells within torus-Chebyshev radius 4 of the
+    # marked cell, the 9 x 9 window centred on it, hold strictly more
     # probability than the marked cell alone
     trace = run(RunConfig(GridGeometry(20), snapshot_stride=1))
     crest = first_crest(trace)
-    state = GridState(GridGeometry(20), trace.snapshots[crest.iteration].ravel())
-    marked = MarkedSet.of(tuple(trace.marked_cells[0]))
-    ring = neighborhood_mass(state, marked, 4)
-    assert ring > marked_probability(state, marked) + 0.01
+    grid = trace.snapshots[crest.iteration]
+    row, col = trace.marked_cells[0]
+    window = np.roll(grid, (4 - row, 4 - col), axis=(0, 1))[:9, :9]
+    assert window[4, 4] == grid[row, col]
+    assert np.sum(window**2) > grid[row, col] ** 2 + 0.01
 
 
-def test_multi_marked_summary_symmetric_split():
+def test_transposed_pair_splits_symmetrically():
     # (5, 15) and (15, 5) swap under the transpose, which maps both tile
     # lattices onto themselves, so the split is equal at every iteration
     trace = run(RunConfig(GridGeometry(20), marked=MarkedSet.of((5, 15), (15, 5))))
-    summary = multi_marked_summary(trace, MarkedSet.of((5, 15), (15, 5)))
-    (cell_a, p_a), (cell_b, p_b) = summary.split
-    assert {cell_a, cell_b} == {(5, 15), (15, 5)}
-    assert p_a == pytest.approx(p_b, abs=1e-9)
-    assert p_a + p_b == pytest.approx(summary.combined.probability, abs=1e-12)
-
-
-def test_multi_marked_summary_requires_two_cells():
-    trace = run(RunConfig(GridGeometry(8), max_iterations=4))
-    with pytest.raises(ValueError):
-        multi_marked_summary(trace, MarkedSet.of(tuple(trace.marked_cells[0])))
-
-
-def test_multi_marked_summary_checks_cells_match():
-    trace = run(
-        RunConfig(GridGeometry(8), marked=MarkedSet.of((1, 1), (5, 5)), max_iterations=4)
-    )
-    with pytest.raises(ValueError):
-        multi_marked_summary(trace, MarkedSet.of((1, 1), (4, 4)))
+    assert set(map(tuple, trace.marked_cells)) == {(5, 15), (15, 5)}
+    split = np.asarray(trace.per_cell_probabilities)
+    assert split.shape == (len(trace.probabilities), 2)
+    np.testing.assert_allclose(split[:, 0], split[:, 1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(split.sum(axis=1), trace.probabilities, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -182,6 +183,27 @@ def test_sweep_marked_placements():
     assert cells == [((1, 1),), ((5, 5),)]
 
 
+def test_sweep_points_must_be_distinct():
+    # Each repeat would run one point twice into one output directory.
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 20\nsweep_d = 4, 4\nsweep_marked = 1, 1, 21, 1\nmax_iters = 10\n")
+    assert list(err.value.violations) == [
+        "sweep_d: 4 is listed more than once",
+        "sweep_marked: two placements coincide on the 20-side grid",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 20\nsweep_n = 400, 1600, 400\nsweep_tessellation = square, Square\n")
+    assert list(err.value.violations) == [
+        "sweep_n: 400 is listed more than once",
+        "sweep_tessellation: 'square' is listed more than once",
+    ]
+    # Placements only need to differ on the grids the sweep runs.
+    config = parse_config("L = 20\nsweep_n = 400\nsweep_marked = 1, 1, 11, 1\n")
+    assert len(list(config.sweep_points())) == 2
+    with pytest.raises(ConfigError, match="coincide on the 10-side grid"):
+        parse_config("L = 20\nsweep_n = 400, 100\nsweep_marked = 1, 1, 11, 1\n")
+
+
 def test_replace_revalidates():
     config = parse_config("L = 8\nemit_heatmaps = true\nsnapshot_stride = 1\n")
     bumped = dataclasses.replace(config, order="rtl", snapshot_stride=2, max_iterations=9)
@@ -254,6 +276,14 @@ def test_readme_example_config_parses():
         20, (400, 1600), (KIND_SQUARE, KIND_CROSS)
     )
     assert len(list(config.sweep_points())) == 16
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "PeakSummary(iteration=" in capsys.readouterr().out
 
 
 def test_docstring_lists_every_key():
@@ -331,7 +361,12 @@ def test_parse_config_raises_only_config_errors(text):
 
 
 def _outside_known_faults(text):
-    """No ``#``, no L = 0, no heatmap_scale = 0 and no negative size: the old parser's faults."""
+    """No ``#``, no L = 0, no heatmap_scale = 0, no negative size and no repeated
+    sweep point: the old parser's faults.
+
+    Two sweep_marked pairs are skipped when some grid side s >= 2 divides both of
+    their differences, so that they coincide on the s-side grid.
+    """
     for line in text.splitlines():
         key, _, value = (part.strip() for part in line.partition("="))
         items = [item.strip() for item in value.split(",")]
@@ -339,6 +374,16 @@ def _outside_known_faults(text):
         if key in ("L", "heatmap_scale") and value == "0":
             return False
         if key in _SIZE_KEYS and any(number < 0 for number in numbers):
+            return False
+        if key in ("sweep_n", "sweep_d") and len(set(numbers)) < len(numbers):
+            return False
+        kinds = [item.lower().replace("_", "-") for item in items if item]
+        if key == "sweep_tessellation" and len(set(kinds)) < len(kinds):
+            return False
+        pairs = list(zip(numbers[::2], numbers[1::2]))
+        if key == "sweep_marked" and any(
+            math.gcd(i - k, j - l) != 1 for (i, j), (k, l) in itertools.combinations(pairs, 2)
+        ):
             return False
     return "#" not in text
 

@@ -115,6 +115,63 @@ def test_trace_matches_dense_operator_product(side, order):
         assert np.max(np.abs(psi.reshape(side, side) - trace.snapshots[k])) <= 1e-10
 
 
+def _union_of_groups(partition, groups):
+    flat = np.flatnonzero(np.isin(partition.group_ids, groups))
+    return MarkedSet.of(*(divmod(int(x), partition.geometry.side) for x in flat))
+
+
+def _scattered_partition(g):
+    """Groups of 3, 5 and 8 cells drawn from a seeded shuffle of the grid."""
+    cells = np.random.default_rng(7).permutation(g.cell_count)
+    bounds = np.cumsum([3, 5, 8] * (g.cell_count // 16))[:-1]
+    return custom_partition(g, [[divmod(int(x), g.side) for x in group]
+                                for group in np.split(cells, bounds)])
+
+
+_LOCAL_PARTITIONS = {
+    "square": lambda g: square_partition(g, 4),
+    "cross": cross_partition,
+    "four-corners": lambda g: four_corners_partition(g, 4),
+    "scattered": _scattered_partition,
+}
+
+
+# A marked set that is a union of local groups is never found: O u lies in the
+# span of the local group superpositions, so R_A O u = O u, O R_A O u = u, and
+# the dispersion fixes u too.  Every round returns the uniform state.
+@pytest.mark.parametrize("order", ["ltr", "rtl"])
+@pytest.mark.parametrize("local", sorted(_LOCAL_PARTITIONS))
+def test_a_union_of_local_groups_stays_at_the_uniform_measure(local, order):
+    g = GridGeometry(40)
+    partition = _LOCAL_PARTITIONS[local](g)
+    for groups in ([0], [0, 7], [0, 7, 42]):
+        marked = _union_of_groups(partition, groups)
+        trace = run(RunConfig(g, marked=marked, local_partition=partition, order=order))
+        assert len(trace.probabilities) == 4 * g.side
+        uniform = len(marked.normalized(g)) / g.cell_count
+        assert np.max(np.abs(trace.probabilities - uniform)) <= 1e-12, (groups, trace.peak)
+
+
+@pytest.mark.parametrize("order", ["ltr", "rtl"])
+@pytest.mark.parametrize("local", ["square", "four-corners", "scattered"])
+def test_dense_round_fixes_the_uniform_state_for_a_union_of_local_groups(local, order):
+    g = GridGeometry(8)
+    partition = _LOCAL_PARTITIONS[local](g)
+    for groups in ([0], [0, 2]):
+        config = RunConfig(g, marked=_union_of_groups(partition, groups),
+                           local_partition=partition, order=order)
+        matrices = {
+            STEP_ORACLE: dense_oracle(config.marked, g),
+            STEP_LOCAL: dense_diffusion(partition, g),
+            STEP_DISPERSION: dense_diffusion(config.dispersion_partition, g),
+        }
+        u = uniform_state(g).amplitudes
+        psi = u
+        for step in config.steps:
+            psi = matrices[step] @ psi
+        assert np.max(np.abs(psi - u)) <= 1e-12, groups
+
+
 def test_snapshots_do_not_interfere():
     config = RunConfig(GridGeometry(8), max_iterations=20)
     with_snapshots = run(RunConfig(GridGeometry(8), max_iterations=20, snapshot_stride=1))
