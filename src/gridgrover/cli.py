@@ -72,8 +72,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_grover(args: argparse.Namespace) -> int:
     config = _load_config(args)
     # The grid run's config resolves the marked cells, horizon and snapshot stride.
-    ((_label, build),) = config.sweep_points()
-    point = build()
+    ((_label, point),) = config.sweep_points()
     indices = point.marked.indices(point.geometry)
     n = point.geometry.cell_count
     trace = run_grover_reference(

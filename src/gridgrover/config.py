@@ -8,8 +8,9 @@ file reports all of its problems at once.
 Keys::
 
     L / n               grid side / cell count (one required; n = L^2)
-    marked              flat integer list, consumed in (i, j) pairs, or
-                        "default" for the built-in placement
+    marked              flat integer list, consumed in (i, j) pairs and
+                        distinct on every swept grid, or "default" for
+                        the built-in placement
     d                   tile side for square-family tessellations (default 4)
     tessellation        local diffusion kind: square | cross | four-corners
     dispersion          dispersion kind: shifted-square | square | cross |
@@ -43,10 +44,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
 
-from .grid import GridGeometry, MarkedSet, _side_of
-from .simulator import (
-    _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_horizon, default_marked_cell,
-)
+from .grid import Coord, GridGeometry, MarkedSet, _side_of
+from .simulator import _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_horizon
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -76,7 +75,7 @@ class ConfigError(ValueError):
 
 
 def make_partition(geometry: GridGeometry, kind: str, d: int) -> Partition:
-    """Build one of the named tessellations (cross ignores ``d``)."""
+    """Build the tessellation a config word names (cross ignores ``d``)."""
     if kind == KIND_SQUARE:
         return square_partition(geometry, d)
     if kind == KIND_SHIFTED_SQUARE:
@@ -117,10 +116,6 @@ class ExperimentConfig:
             violations.append(_NO_SIDE)
         elif self.side < 2:
             violations.append(f"L: side must be at least 2, got {self.side}")
-        elif self.marked_cells and len(self.marked_cells) != len(
-            {(i % self.side, j % self.side) for i, j in self.marked_cells}
-        ):
-            violations.append("marked: cells coincide after wrapping onto the grid")
         if self.marked_cells == ():
             violations.append("marked: expected at least one (i, j) pair")
         for n in self.sweep_n:
@@ -148,9 +143,11 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 violations.append(f"{key}: {repeated!r} is listed more than once")
-        cells = self.sweep_marked
+        # The points' marked cells, one per sweep_marked placement or else the base cells.
+        key = "sweep_marked" if self.sweep_marked else "marked"
+        cells = self.sweep_marked or self.marked_cells or ()
         if clash := [s for s in sides if len({(i % s, j % s) for i, j in cells}) < len(cells)]:
-            violations.append(f"sweep_marked: two placements coincide on the {clash[0]}-side grid")
+            violations.append(f"{key}: two cells coincide on the {clash[0]}-side grid")
         if self.order not in _ORDERS:
             names = " or ".join(map(repr, _ORDERS))
             violations.append(f"order: expected {names}, got {self.order!r}")
@@ -182,38 +179,29 @@ class ExperimentConfig:
         tiles = list(self.sweep_d) or [self.d]
         return sides or [self.side], tiles, list(self.sweep_tessellation) or [self.local_kind]
 
-    def sweep_points(self) -> Iterator[tuple[str, Callable[[], RunConfig]]]:
-        """Expand the sweep axes into (label, builder) pairs.
+    def sweep_points(self) -> Iterator[tuple[str, RunConfig]]:
+        """Expand the sweep axes into (label, RunConfig) pairs, each built when reached.
 
-        A builder may raise (e.g. marked cells that coincide on a swept grid
-        size); callers decide whether one bad point aborts the sweep.
+        Construction checked every point, so none raises.  Built lazily, so a
+        sweep holds the partition maps of one point at a time.
         """
         sides, tile_sides, kinds = self._axes()
-        placements: "list[tuple[tuple[int, int], ...] | None]" = (
-            [(cell,) for cell in self.sweep_marked] if self.sweep_marked else [self.marked_cells]
-        )
+        placements = [(cell,) for cell in self.sweep_marked] or [self.marked_cells]
         for side, d, kind, cells in product(sides, tile_sides, kinds, placements):
-            resolved = cells if cells is not None else (tuple(default_marked_cell(GridGeometry(side))),)
-            label = _point_label(side, d, kind, self.order, resolved)
-
-            def build(side=side, d=d, kind=kind, cells=cells) -> RunConfig:
-                geometry = GridGeometry(side)
-                return RunConfig(
-                    geometry=geometry,
-                    marked=MarkedSet.of(*cells) if cells is not None else None,
-                    local_partition=make_partition(geometry, kind, d),
-                    dispersion_partition=make_partition(geometry, self.dispersion_kind, d),
-                    order=self.order,
-                    max_iterations=self.max_iterations,
-                    snapshot_stride=self.snapshot_stride,
-                )
-
-            yield label, build
+            geometry = GridGeometry(side)
+            point = RunConfig(
+                geometry=geometry,
+                marked=MarkedSet.of(*cells) if cells is not None else None,
+                local_partition=make_partition(geometry, kind, d),
+                dispersion_partition=make_partition(geometry, self.dispersion_kind, d),
+                order=self.order,
+                max_iterations=self.max_iterations,
+                snapshot_stride=self.snapshot_stride,
+            )
+            yield _point_label(side, d, kind, self.order, point.marked.cells), point
 
 
-def _point_label(
-    side: int, d: int, kind: str, order: str, cells: "tuple[tuple[int, int], ...]"
-) -> str:
+def _point_label(side: int, d: int, kind: str, order: str, cells: "frozenset[Coord]") -> str:
     tag = "+".join(f"{i % side}-{j % side}" for i, j in sorted(cells))
     return f"n{side * side}_d{d}_{kind}_{order}_m{tag}"
 

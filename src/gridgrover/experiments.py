@@ -2,7 +2,7 @@
 
 ``run_experiment`` executes every sweep point of an :class:`ExperimentConfig`,
 writes the requested files under one subdirectory per point, and returns a
-report; a failing point is recorded and the rest continue.
+report; a point whose run fails is recorded and the rest continue.
 
 ``table_report`` reruns the reference result series for the d=4 shifted
 square schedule (the series this simulator was built to reproduce) and
@@ -129,14 +129,13 @@ def write_point_artifacts(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every sweep point; write artifacts under ``config.out_dir``; record failed points."""
+    """Run every sweep point; write artifacts under ``config.out_dir``; record only failed runs."""
     base = Path(config.out_dir) if config.out_dir is not None else None
     report = ExperimentReport()
-    for label, build in config.sweep_points():
+    for label, run_config in config.sweep_points():
         try:
-            run_config = build()
             trace = run(run_config)
-        except Exception as exc:  # precondition failures must not kill the sweep
+        except Exception as exc:  # one failing run must not kill the sweep
             report.points.append(PointResult(label=label, error=f"{type(exc).__name__}: {exc}"))
             continue
         report.points.append(PointResult(label=label, trace=trace))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +96,17 @@ def normalize_coord(geometry: GridGeometry, cell: tuple[int, int]) -> Coord:
     return Coord(i % geometry.side, j % geometry.side)
 
 
+def _integer_cells(cells: "Iterable[tuple[int, int]]", what: str) -> None:
+    """Raise ValueError unless every coordinate is an integer; a float indexes the wrong cell."""
+    # operator.index passes ints and numpy ints, 9x faster than isinstance(v, numbers.Integral).
+    try:
+        for cell in cells:
+            for v in cell:
+                operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} need integer coordinates, got {tuple(cell)}") from None
+
+
 def cell_index(geometry: GridGeometry, cell: tuple[int, int]) -> int:
     """Row-major flat offset of a (possibly unwrapped) cell."""
     i, j = cell
@@ -121,14 +132,7 @@ class MarkedSet:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("marked set must contain at least one cell")
-        # A float coordinate would index the wrong cell.  operator.index passes ints and numpy
-        # ints at a ninth of the cost of an isinstance on numbers.Integral.
-        try:
-            for cell in self.cells:
-                for v in cell:
-                    operator.index(v)
-        except TypeError:
-            raise ValueError(f"marked cells need integer coordinates, got {tuple(cell)}") from None
+        _integer_cells(self.cells, "marked cells")
 
     @classmethod
     def of(cls, *cells: tuple[int, int]) -> "MarkedSet":

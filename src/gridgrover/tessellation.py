@@ -6,9 +6,9 @@ those superpositions are automatically orthonormal and the reflection is
 unitary.  Four named tessellations are provided:
 
 * ``square_partition``       -- axis-aligned d x d tiles.
-* ``shifted_square_partition`` -- the same tiles with the origin moved by
-  floor(d/2) in both axes, wrapping on the torus.  Every shifted tile
-  straddles several aligned tiles, which is what lets amplitude travel.
+* ``shifted_square_partition`` -- the same square lattice with its origin
+  moved by floor(d/2) in both axes, wrapping on the torus.  Every shifted
+  tile straddles several aligned tiles, which is what lets amplitude travel.
 * ``cross_partition``        -- center plus four cardinal neighbors (a
   radius-1 Lee sphere); centers on the lattice (i + 2j) % 5 == 0.
 * ``four_corners_partition`` -- quadruples {(a,b)+(x,y): x,y in {0,d}}
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridGeometry, cell_index
+from .grid import GridGeometry, _integer_cells, cell_index
 
 __all__ = [
     "KIND_CROSS",
@@ -49,12 +49,10 @@ __all__ = [
 ]
 
 KIND_SQUARE = "square"
-KIND_SHIFTED_SQUARE = "shifted-square"
+KIND_SHIFTED_SQUARE = "shifted-square"  # a config word for shifted_square_partition, not a kind
 KIND_CROSS = "cross"
 KIND_FOUR_CORNERS = "four-corners"
 KIND_CUSTOM = "custom"
-
-_SQUARE_KINDS = (KIND_SQUARE, KIND_SHIFTED_SQUARE)
 
 
 class InvalidPartitionError(ValueError):
@@ -65,33 +63,35 @@ class InvalidPartitionError(ValueError):
 class Partition:
     """Disjoint nonempty cell groups covering the grid; ``group_ids`` maps each cell to one.
 
-    A named tessellation is ``kind``, parameter ``d`` (the tile side of
-    squares, the corner spacing of four-corners; crosses ignore it) and
-    ``tile_shift``, the origin its pattern is moved to.  A ``KIND_CUSTOM``
-    partition stores its map, ``ids``; groups are numbered 0 .. max(ids).
-    ``tile_side`` is d for squares, else None: the tile kernels read (d,
-    ``tile_shift``) alone.  ``step_cost`` is the nominal walk-step charge of
-    one diffusion (d for squares and corners, 1 for crosses: each cross
-    cell is one hop from its center).
+    A named tessellation (square, cross, four-corners) is ``kind``, ``d``
+    (the tile side of squares, the corner spacing of four-corners; crosses
+    ignore it) and ``tile_shift``, the origin its pattern is moved to.  A
+    ``KIND_CUSTOM`` partition stores its map, ``ids``, numbering groups 0 ..
+    max(ids).  The kind fixes the rest: ``tile_side`` is d for squares, else
+    None (the tile kernels read (d, ``tile_shift``) alone); ``step_cost``, the
+    walk-step charge of one diffusion, is d for squares and corners, else 1.
     """
 
     geometry: GridGeometry
     kind: str = KIND_CUSTOM
-    step_cost: int = 1
     d: int = 1
     tile_shift: tuple[int, int] = (0, 0)
     ids: "np.ndarray | None" = field(default=None, repr=False)
     tile_side: "int | None" = field(init=False, default=None)
+    step_cost: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
         if self.kind == KIND_CUSTOM:
             validate_partition(self)
-        elif self.kind not in (*_SQUARE_KINDS, KIND_CROSS, KIND_FOUR_CORNERS):
+        elif self.kind not in (KIND_SQUARE, KIND_CROSS, KIND_FOUR_CORNERS):
             raise ValueError(f"unknown tessellation kind {self.kind!r}")
+        elif self.ids is not None:
+            raise ValueError(f"a {self.kind} tessellation derives its map; only custom takes ids")
         elif problem := tiling_problem(self.geometry.side, self.kind, self.d):
             raise ValueError(problem)
-        elif self.kind in _SQUARE_KINDS:
-            object.__setattr__(self, "tile_side", self.d)
+        elif self.kind != KIND_CROSS:
+            object.__setattr__(self, "step_cost", self.d)
+            object.__setattr__(self, "tile_side", self.d if self.kind == KIND_SQUARE else None)
 
     @cached_property
     def group_ids(self) -> np.ndarray:
@@ -156,7 +156,7 @@ def tiling_problem(side: int, kind: str, d: int) -> "str | None":
     """
     if kind == KIND_CROSS:
         rule, period = "5 | L", 5
-    elif kind not in (*_SQUARE_KINDS, KIND_FOUR_CORNERS):
+    elif kind not in (KIND_SQUARE, KIND_SHIFTED_SQUARE, KIND_FOUR_CORNERS):
         return None
     elif d < 1:
         return f"{kind} tessellation needs a positive tile side, got d = {d}"
@@ -169,12 +169,12 @@ def tiling_problem(side: int, kind: str, d: int) -> "str | None":
 
 def square_partition(geometry: GridGeometry, d: int) -> Partition:
     """Axis-aligned d x d tiles; requires d | side."""
-    return Partition(geometry, KIND_SQUARE, step_cost=d, d=d)
+    return Partition(geometry, KIND_SQUARE, d=d)
 
 
 def shifted_square_partition(geometry: GridGeometry, d: int) -> Partition:
-    """d x d tiles with origins moved by floor(d/2) in both axes, wrapping."""
-    return Partition(geometry, KIND_SHIFTED_SQUARE, step_cost=d, d=d, tile_shift=(d // 2, d // 2))
+    """The square lattice with its origin moved by floor(d/2) in both axes, wrapping."""
+    return Partition(geometry, KIND_SQUARE, d=d, tile_shift=(d // 2, d // 2))
 
 
 def cross_partition(geometry: GridGeometry) -> Partition:
@@ -189,15 +189,14 @@ def cross_partition(geometry: GridGeometry) -> Partition:
 
 def four_corners_partition(geometry: GridGeometry, d: int) -> Partition:
     """Corner quadruples {(a,b) + (x,y) : x,y in {0,d}}; requires 2d | side."""
-    return Partition(geometry, KIND_FOUR_CORNERS, step_cost=d, d=d)
+    return Partition(geometry, KIND_FOUR_CORNERS, d=d)
 
 
 def custom_partition(
-    geometry: GridGeometry,
-    groups: "list[list[tuple[int, int]]] | tuple",
-    step_cost: int = 1,
+    geometry: GridGeometry, groups: "list[list[tuple[int, int]]] | tuple"
 ) -> Partition:
-    """Hand-built groups, numbered in order; cells wrap onto the grid and must cover it once."""
+    """Hand-built groups, numbered in order; integer cells wrap onto the grid and cover it once."""
+    _integer_cells((c for group in groups for c in group), "partition cells")
     cells = np.array([cell_index(geometry, c) for group in groups for c in group], dtype=np.intp)
     sizes = [len(group) for group in groups]
     covered = np.bincount(cells, minlength=geometry.cell_count)
@@ -206,7 +205,7 @@ def custom_partition(
                    "empty groups": sizes.count(0)})
     ids = np.empty(geometry.cell_count, dtype=np.intp)
     ids[cells] = np.repeat(np.arange(len(groups)), sizes)
-    return Partition(geometry, step_cost=step_cost, ids=ids)
+    return Partition(geometry, ids=ids)
 
 
 def translate_partition(partition: Partition, offset: tuple[int, int]) -> Partition:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridgrover import read_trace_csv, table_report
+from gridgrover import NormDriftError, experiments, read_trace_csv, table_report
 from gridgrover.cli import main
 
 
@@ -209,20 +209,35 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sweep_continues_past_failing_points(tmp_path):
-    # (0,0) and (8,8) coincide on the swept 8-grid but not on the 16-grid;
-    # the bad point is recorded and the good one still writes artifacts
-    cfg = write_config(
-        tmp_path, "L = 16\nmarked = 0,0,8,8\nsweep_n = 64,256\nmax_iters = 4\n"
-    )
+def test_sweep_continues_past_failing_points(tmp_path, monkeypatch):
+    # A run that fails (here a forced NormDriftError on the 8-grid) is recorded,
+    # and the other point still writes its artifacts.
+    real_run = experiments.run
+
+    def run(config):
+        if config.geometry.side == 8:
+            raise NormDriftError("forced drift")
+        return real_run(config)
+
+    monkeypatch.setattr(experiments, "run", run)
+    cfg = write_config(tmp_path, "L = 16\nsweep_n = 64,256\nmax_iters = 4\n")
     out = tmp_path / "results"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     report = (out / "report.txt").read_text()
-    assert "ERROR" in report
-    assert "ValueError:" in report
+    assert "n64_d4_square_ltr_m5-5" in report and "ERROR: NormDriftError: forced drift" in report
     dirs = [p.name for p in out.iterdir() if p.is_dir()]
     assert any(d.startswith("n256") for d in dirs)
     assert not any(d.startswith("n64") for d in dirs)
+
+
+def test_sweep_refuses_marked_cells_that_coincide_on_a_swept_grid(tmp_path, capsys):
+    # (1, 1) and (9, 9) differ on the 16-grid but coincide on the swept 8-grid, so
+    # the sweep is refused before it runs any point or makes its output directory.
+    cfg = write_config(tmp_path, "L = 16\nmarked = 1,1,9,9\nsweep_n = 256, 64\nmax_iters = 5\n")
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "marked: two cells coincide on the 8-side grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -134,19 +134,20 @@ def test_grids_are_stored_only_for_the_emitters(tmp_path):
     quiet = parse_config("L = 16\nemit_trace = false\n")
     with pytest.raises(ConfigError):
         dataclasses.replace(quiet, snapshot_stride=2)
-    ((_label, build),) = quiet.sweep_points()
-    assert build().snapshot_stride == 0
+    ((_label, point),) = quiet.sweep_points()
+    assert point.snapshot_stride == 0
     quiet = dataclasses.replace(quiet, out_dir=str(tmp_path))
     (point,) = run_experiment(quiet).points
     assert point.trace.snapshots == {}
     for emit in ("emit_snapshots", "emit_heatmaps"):
-        ((_label, build),) = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True}).sweep_points()
-        assert build().snapshot_stride == 1, emit
+        noisy = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True})
+        ((_label, point),) = noisy.sweep_points()
+        assert point.snapshot_stride == 1, emit
 
 
 def test_sweep_lists_and_expansion():
     config = parse_config("L = 4\nsweep_n = 16,64\nsweep_d = 2,4\n")
-    points = [(label, build()) for label, build in config.sweep_points()]
+    points = list(config.sweep_points())
     assert len(points) == 4
     labels = [label for label, _ in points]
     assert labels[0].startswith("n16_d2_square")
@@ -158,7 +159,7 @@ def test_only_the_swept_combinations_must_tile():
     # The sweep replaces L = 8 by L = 6 and d = 4 by d = 2; 4 does not divide 6,
     # but no point runs d = 4 on the 6-grid.
     config = parse_config("L = 8\nsweep_n = 36\nsweep_d = 2\n")
-    points = [(label, build()) for label, build in config.sweep_points()]
+    points = list(config.sweep_points())
     assert [label for label, _ in points] == ["n36_d2_square_ltr_m4-4"]
     ((_, point),) = points
     assert (point.geometry.side, point.local_partition.tile_side) == (6, 2)
@@ -177,7 +178,7 @@ def test_sweep_validates_each_size():
 
 def test_sweep_marked_placements():
     config = parse_config("L = 8\nsweep_marked = 1,1,5,5\n")
-    points = [(label, build()) for label, build in config.sweep_points()]
+    points = list(config.sweep_points())
     assert len(points) == 2
     cells = [rc.marked.normalized(rc.geometry) for _, rc in points]
     assert cells == [((1, 1),), ((5, 5),)]
@@ -189,7 +190,7 @@ def test_sweep_points_must_be_distinct():
         parse_config("L = 20\nsweep_d = 4, 4\nsweep_marked = 1, 1, 21, 1\nmax_iters = 10\n")
     assert list(err.value.violations) == [
         "sweep_d: 4 is listed more than once",
-        "sweep_marked: two placements coincide on the 20-side grid",
+        "sweep_marked: two cells coincide on the 20-side grid",
     ]
     with pytest.raises(ConfigError) as err:
         parse_config("L = 20\nsweep_n = 400, 1600, 400\nsweep_tessellation = square, Square\n")
@@ -202,6 +203,24 @@ def test_sweep_points_must_be_distinct():
     assert len(list(config.sweep_points())) == 2
     with pytest.raises(ConfigError, match="coincide on the 10-side grid"):
         parse_config("L = 20\nsweep_n = 400, 100\nsweep_marked = 1, 1, 11, 1\n")
+
+
+def test_marked_cells_must_be_distinct_on_every_swept_grid():
+    # The previous rule checked the base cells on the base side alone, so this sweep
+    # ran the 16-grid point and then failed to build the 8-grid one.
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 16\nmarked = 1,1,9,9\nsweep_n = 256, 64\nmax_iters = 5\n")
+    assert list(err.value.violations) == ["marked: two cells coincide on the 8-side grid"]
+    # Only the grids and cells that points run count: no point runs the 8-grid here,
+    # and sweep_marked placements replace the base cells.
+    for text in ("L = 8\nmarked = 1,1,9,9\nsweep_n = 256\n",
+                 "L = 8\nmarked = 1,1,9,9\nsweep_marked = 1,1,2,2\n"):
+        config = parse_config(text)
+        assert len(list(config.sweep_points())) in (1, 2)
+        # `run` drops the sweep lists, so the base cells on the 8-grid are refused there.
+        with pytest.raises(ConfigError, match="^invalid configuration:\n  - marked: two cells "
+                                              "coincide on the 8-side grid$"):
+            dataclasses.replace(config, sweep_n=(), sweep_marked=())
 
 
 def test_replace_revalidates():
@@ -224,8 +243,9 @@ def test_make_partition_dispatch():
     g = GridGeometry(20)
     assert make_partition(g, KIND_SQUARE, 4).kind == KIND_SQUARE
     assert make_partition(g, KIND_CROSS, 4).group_count == 80
+    # "shifted-square" names the square lattice moved by (d//2, d//2).
     shifted = make_partition(g, KIND_SHIFTED_SQUARE, 4)
-    assert (shifted.kind, shifted.tile_shift, shifted.step_cost) == (KIND_SHIFTED_SQUARE, (2, 2), 4)
+    assert (shifted.kind, shifted.tile_shift, shifted.step_cost) == (KIND_SQUARE, (2, 2), 4)
     assert make_partition(g, KIND_FOUR_CORNERS, 2).kind == KIND_FOUR_CORNERS
     with pytest.raises(ValueError):
         make_partition(g, "hexagon", 4)
@@ -408,37 +428,47 @@ def _outcome(parse, text):
 @example("L = 20\nd = 3\ntessellation = cross")
 @example("L = 8\nsweep_n = 36\nsweep_d = 2")
 @example("L = 10\nmarked = 0,0,8,8\nsweep_n = 64")
+@example("L = 16\nmarked = 1,1,9,9\nsweep_n = 256, 64\nmax_iters = 5")
+@example("L = 8\nmarked = 1,1,9,9\nsweep_n = 256")
+@example("L = 8\nmarked = 1,1,9,9\nsweep_marked = 1,1,2,2")
 @example("L = 8\nsnapshot_stride = 2")
 @example("L = 8\nmax_iters = 4\nsnapshot_stride = 10\nemit_snapshots = true\nemit_heatmaps = true")
 @example("L = 40\nsweep_n = 64\nsnapshot_stride = 40\nemit_heatmaps = true")
 def test_parser_matches_the_previous_parser(text):
     new, old = _outcome(parse_config, text), _outcome(reference_config.parse_config, text)
     if isinstance(new, tuple) and isinstance(old, dict):
-        # Two strides are now refused that the previous parser accepted and the run
-        # dropped: one with neither emitter, and one beyond the horizon of a point,
-        # max_iters or 4 L, which stores no grid.  These are the only rules it adds.
+        # Three rules now refuse what the previous parser accepted: base marked cells
+        # that coincide on a swept grid, which it checked on the base side alone; a
+        # stride with neither emitter; and one beyond the horizon of a point, max_iters
+        # or 4 L, which stores no grid.  The run dropped those strides.
         sides = [math.isqrt(n) for n in old["sweep_n"]] or [old["side"]]
         horizon = old["max_iterations"] or 4 * min(sides)
         for violation in new:
-            if violation.startswith("snapshot_stride: stored grids"):
+            if coincide := re.fullmatch(r"marked: two cells coincide on the (\d+)-side grid",
+                                        violation):
+                side = int(coincide.group(1))
+                assert side in sides and side != old["side"] and not old["sweep_marked"]
+            elif violation.startswith("snapshot_stride: stored grids"):
                 assert not (old["emit_snapshots"] or old["emit_heatmaps"])
+                assert old["snapshot_stride"] >= 1
             else:
                 assert violation.startswith(f"snapshot_stride: {old['snapshot_stride']} exceeds "
                                             f"the {horizon}-round horizon")
                 assert old["snapshot_stride"] > horizon
-        assert old["snapshot_stride"] >= 1
         return
     if isinstance(new, tuple) or isinstance(old, dict):
         # Both reject, or both accept and build equal configs.
         assert new == old if isinstance(new, dict) else isinstance(old, tuple)
         return
     # The previous parser checked every size against every tile side the text
-    # named; now only the combinations that sweep points run must tile.  So it
-    # may reject, for tiling alone, a text that now parses, and then every
-    # sweep point must build (unless its marked cells coincide on a swept grid).
-    assert old and all(" tessellation needs " in violation for violation in old)
-    for _label, build in parse_config(text).sweep_points():
-        try:
-            build()
-        except ValueError as exc:
-            assert "coincide" in str(exc)
+    # named, and the base marked cells on the base side even when no point runs
+    # them there; now only the combinations that sweep points run must tile, and
+    # only their marked cells must be distinct.  So it may reject, for those two
+    # rules alone, a text that now parses, and then every sweep point must build.
+    moved = "marked: cells coincide after wrapping onto the grid"
+    assert old and all(" tessellation needs " in violation or violation == moved
+                       for violation in old)
+    if moved in old:
+        sides = [math.isqrt(n) for n in new["sweep_n"]] or [new["side"]]
+        assert new["sweep_marked"] or new["side"] not in sides
+    assert list(parse_config(text).sweep_points())

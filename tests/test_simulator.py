@@ -11,6 +11,7 @@ from gridgrover import (
     GridState,
     MarkedSet,
     NormDriftError,
+    Partition,
     RunConfig,
     TileState,
     apply_oracle,
@@ -92,6 +93,21 @@ def test_runs_are_bit_deterministic():
     a, b = run(config), run(config)
     np.testing.assert_array_equal(a.probabilities, b.probabilities)
     np.testing.assert_array_equal(a.per_cell_probabilities, b.per_cell_probabilities)
+
+
+def test_one_lattice_built_three_ways_gives_one_trace():
+    # The kind fixes the step cost, so cumulative_steps cannot depend on the builder.
+    g = GridGeometry(16)
+    traces = [
+        run(RunConfig(g, local_partition=local, max_iterations=40))
+        for local in (square_partition(g, 4), Partition(g, "square", d=4),
+                      translate_partition(shifted_square_partition(g, 4), (-2, -2)))
+    ]
+    for trace in traces[1:]:
+        for field in ("probabilities", "per_cell_probabilities", "cumulative_steps"):
+            assert np.array_equal(getattr(trace, field), getattr(traces[0], field)), field
+        assert trace.counters == traces[0].counters
+    assert traces[0].cumulative_steps[:3].tolist() == [42, 52, 62]
 
 
 @pytest.mark.parametrize("side", [4, 8])

@@ -22,7 +22,7 @@ from gridgrover import (
     translate_partition,
     validate_partition,
 )
-from gridgrover.tessellation import KIND_CROSS, KIND_FOUR_CORNERS, KIND_SQUARE
+from gridgrover.tessellation import KIND_CROSS, KIND_FOUR_CORNERS, KIND_SHIFTED_SQUARE, KIND_SQUARE
 
 
 def legal_square_sides(side):
@@ -198,8 +198,14 @@ def test_tile_descriptor_is_checked_at_construction():
                 Partition(g, kind, d=d, tile_shift=(1, 2))
     with pytest.raises(ValueError, match="5 does not divide 12"):
         Partition(g, KIND_CROSS, tile_shift=(3, 1))
-    with pytest.raises(ValueError, match="unknown tessellation kind"):
-        Partition(g, "hexagon", d=3)
+    # "shifted-square" is a config word for the square kind at a shift, not a kind.
+    for kind in ("hexagon", KIND_SHIFTED_SQUARE):
+        with pytest.raises(ValueError, match=f"unknown tessellation kind '{kind}'"):
+            Partition(g, kind, d=3)
+    # A named kind derives its map; it is not silently replaced by a given one.
+    for kind in (KIND_SQUARE, KIND_CROSS, KIND_FOUR_CORNERS):
+        with pytest.raises(ValueError, match="only custom takes ids"):
+            Partition(GridGeometry(20), kind, d=4, ids=np.zeros(400, dtype=np.intp))
     # A descriptor has no stored map; its map and group count follow from it.
     p = Partition(GridGeometry(10), KIND_CROSS, tile_shift=(3, 1))
     assert (p.ids, p.tile_side) == (None, None) and "group_ids" not in p.__dict__
@@ -400,9 +406,9 @@ def test_custom_partition_numbers_groups_in_order():
     # Cells wrap onto the grid; a translation rolls the map and keeps the numbering.
     g = GridGeometry(4)
     lower = [(i, j) for i in range(1, 4) for j in range(4)]
-    p = custom_partition(g, [[(0, 0), (4, 1)], lower, [(0, 2), (0, -1)]], step_cost=2)
+    p = custom_partition(g, [[(0, 0), (4, 1)], lower, [(0, 2), (0, -1)]])
     np.testing.assert_array_equal(p.group_ids, [0, 0, 2, 2] + [1] * 12)
-    assert (p.kind, p.step_cost, p.group_count, p.tile_side) == ("custom", 2, 3, None)
+    assert (p.kind, p.step_cost, p.group_count, p.tile_side) == ("custom", 1, 3, None)
     moved = translate_partition(p, (1, -1))
     np.testing.assert_array_equal(moved.group_ids.reshape(4, 4)[1], [0, 2, 2, 0])
     assert groups(moved) == tuple(map(frozenset, reference_translate(groups(p), 4, 1, -1)))
@@ -414,3 +420,17 @@ def test_step_costs():
     assert shifted_square_partition(g, 4).step_cost == 4
     assert cross_partition(g).step_cost == 1
     assert four_corners_partition(g, 5).step_cost == 5
+    # The kind fixes the step cost and tile side; neither can be passed in.
+    for fixed in ("step_cost", "tile_side"):
+        with pytest.raises(TypeError):
+            Partition(g, KIND_SQUARE, d=4, **{fixed: 4})
+
+
+def test_custom_partition_needs_integer_cells():
+    # At L = 4, (0.5, 0) would land in row-major cell 2, that is (0, 2), with no error.
+    g = GridGeometry(4)
+    lower = [(i, j) for i in range(1, 4) for j in range(4)]
+    with pytest.raises(ValueError, match=r"cells need integer coordinates, got \(0.5, 0\)"):
+        custom_partition(g, [[(0, 0), (0, 1), (0, 3)], [(0.5, 0)], lower])
+    numpy_ints = [[(np.int64(i), np.int32(j)) for i, j in lower]]
+    assert custom_partition(g, [[(0, j) for j in range(4)], *numpy_ints]).group_count == 2
