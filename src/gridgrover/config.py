@@ -19,7 +19,8 @@ Keys::
     max_iters           horizon override (default 4 * L)
     snapshot_stride     rounds between stored grids (0 = none; >= 1 needs
                         emit_snapshots or emit_heatmaps, which read them,
-                        and at most the horizon of every point)
+                        and at most the horizon of every point; each
+                        point's grids must fit in physical memory)
     out                 output directory
     emit_trace          write trace.csv (default true)
     emit_snapshots      write snapshot CSVs (needs snapshot_stride >= 1)
@@ -45,7 +46,8 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .grid import Coord, GridGeometry, MarkedSet, _side_of
-from .simulator import _ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, default_horizon
+from .simulator import (_ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig,
+                        _stored_grids_problem, default_horizon)
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -166,6 +168,11 @@ class ExperimentConfig:
         if horizons and 1 <= min(horizons) < self.snapshot_stride:
             violations.append(f"snapshot_stride: {self.snapshot_stride} exceeds the "
                               f"{min(horizons)}-round horizon of a point, which would store no grid")
+        # Every swept side, so that no point's RunConfig refuses its stored grids.
+        for side, horizon in zip(sides, horizons):
+            if problem := _stored_grids_problem(GridGeometry(side), horizon,
+                                                self.snapshot_stride):
+                violations.append(problem)
         if violations:
             # Sweeps can repeat one divisibility problem; report it once.
             raise ConfigError(list(dict.fromkeys(violations)))

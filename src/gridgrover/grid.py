@@ -51,7 +51,9 @@ NORM_ATOL = 1e-9
 # reflection and norm in row blocks of about TILE_BLOCK numbers, so each scratch row is read back
 # from L2 right after it is written.  Set by interleaved round timings at d = 4 (Xeon VM, 2 MiB
 # of L2 per core): at L = 1024 one block beat 2^15- and 2^16-number blocks by about 5%; at
-# L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.
+# L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.  GridState
+# reflections and TileState.as_grid use the same blocks, so no kernel allocates a grid-sized
+# temporary.
 TILE_ONE_BLOCK = 2**17
 TILE_BLOCK = 2**15
 
@@ -166,10 +168,11 @@ class GridState:
     length, realness and normalization.
 
     ``_reflect`` about crosses, four corners or custom groups is one
-    ``bincount`` of the amplitudes by the cell -> group map and one gather
-    of the doubled means.  d x d tiles, aligned or shifted, share a kernel
-    that never rolls the grid: about 1.5 memcpy of traffic, and the
-    large-n reference that tests hold ``TileState`` to.
+    ``bincount`` of the amplitudes by the cell -> group map and a blocked
+    gather of the doubled means.  d x d tiles, aligned or shifted, share a
+    kernel that never rolls the grid: about 1.5 memcpy of traffic, and the
+    large-n reference that tests hold ``TileState`` to.  Neither allocates
+    a grid-sized temporary.
     """
 
     geometry: GridGeometry
@@ -210,42 +213,62 @@ class GridState:
         self.amplitudes[marked.indices(self.geometry)] *= -1.0
 
     def _reflect(self, partition: "Partition") -> None:
-        """a -> 2 * mean(group) - a in place.  For d x d tiles shifted by s (m = L/d,
-        k = (m-1)*d), lines s .. s+k-1 of each axis hold the m-1 tiles that do not wrap;
-        the last tile is the strip from s+k to the edge plus the strip before s.
+        """a -> 2 * mean(group) - a in place, with O(block) temporaries.
+
+        Groups: one ``bincount`` gives the group sums, scaled in place into doubled
+        means by the partition's cached 2 / size; the gather and subtract then run
+        in blocks of ``TILE_BLOCK`` cells.  d x d tiles shifted by s (m = L/d,
+        k = (m-1)*d): lines s .. s+k-1 of each axis hold the m-1 tiles that do not
+        wrap, and the last tile is the strip from s+k to the edge plus the strip
+        before s.  Up to ``TILE_ONE_BLOCK`` row sums, all m tile rows form one
+        block; past that, blocks of about ``TILE_BLOCK`` / L tile rows.  Blocks
+        change no bit of the result.
         """
         d, amplitudes = partition.tile_side, self.amplitudes
         if d is None:
             # Every Partition is an exact cover by nonempty groups, so no mean divides by zero.
             ids = partition.group_ids
-            doubled_means = np.bincount(ids, weights=amplitudes) * (2.0 / partition.group_sizes)
-            np.subtract(doubled_means[ids], amplitudes, out=amplitudes)
+            doubled_means = np.bincount(ids, weights=amplitudes)
+            doubled_means *= partition._doubling
+            means = np.empty(min(ids.size, TILE_BLOCK))
+            for lo in range(0, ids.size, TILE_BLOCK):
+                block, out = ids[lo:lo + TILE_BLOCK], amplitudes[lo:lo + TILE_BLOCK]
+                # Every id is in range, so "clip" only skips the bounds check.
+                np.take(doubled_means, block, out=means[:block.size], mode="clip")
+                np.subtract(means[:block.size], out, out=out)
             return
         side = self.geometry.side
         grid, m = amplitudes.reshape(side, side), side // d
         si, sj = partition.tile_shift[0] % d, partition.tile_shift[1] % d
         k = (m - 1) * d
-        # Pass 1 over the grid: the d rows of each tile row summed into (m, L).
-        rows = np.empty((m, side))
-        grid[si:si + k].reshape(m - 1, d, side).sum(axis=1, out=rows[:-1])
-        np.add(grid[si + k:].sum(axis=0), grid[:si].sum(axis=0), out=rows[-1])
-        # Tile sums from d strided column adds, the wrapped tile last; then doubled means.
-        sums = np.empty((m, m))
-        sums[:, :-1] = rows[:, sj:sj + k:d]
-        for r in range(1, d):
-            sums[:, :-1] += rows[:, sj + r:sj + k:d]
-        np.add(rows[:, sj + k:].sum(axis=1), rows[:, :sj].sum(axis=1), out=sums[:, -1])
-        sums *= 2.0 / (d * d)
-        # Spread each doubled mean over its tile's d columns, reusing the row sums;
-        # the reshape splits only the contiguous axis, so it writes through to rows.
-        rows[:, sj:sj + k].reshape(m, m - 1, d)[...] = sums[:, :-1, None]
-        rows[:, sj + k:] = sums[:, -1:]
-        rows[:, :sj] = sums[:, -1:]
-        # Pass 2 over the grid: a -> 2 * mean - a.
-        body = grid[si:si + k].reshape(m - 1, d, side)
-        np.subtract(rows[:-1, None], body, out=body)
-        for strip in (grid[si + k:], grid[:si]):
-            np.subtract(rows[-1], strip, out=strip)
+        # Tile rows [p, q) at a time, summed, turned into doubled means and subtracted while in
+        # cache: all m at once up to TILE_ONE_BLOCK row sums, else about TILE_BLOCK / L at a
+        # time.  The last block holds the wrapped tile row.
+        step = m if m * side <= TILE_ONE_BLOCK else max(1, TILE_BLOCK // side)
+        scratch, scratch_sums = np.empty((step, side)), np.empty((step, m))
+        for p in range(0, m, step):
+            q = min(p + step, m)
+            rows, sums = scratch[:q - p], scratch_sums[:q - p]
+            body = grid[si + p * d:si + min(q, m - 1) * d].reshape(-1, d, side)
+            body.sum(axis=1, out=rows[:len(body)])
+            if q == m:
+                np.add(grid[si + k:].sum(axis=0), grid[:si].sum(axis=0), out=rows[-1])
+            # Tile sums from d strided column adds, the wrapped tile last; then doubled means.
+            sums[:, :-1] = rows[:, sj:sj + k:d]
+            for r in range(1, d):
+                sums[:, :-1] += rows[:, sj + r:sj + k:d]
+            np.add(rows[:, sj + k:].sum(axis=1), rows[:, :sj].sum(axis=1), out=sums[:, -1])
+            sums *= 2.0 / (d * d)
+            # Spread each doubled mean over its tile's d columns, reusing the row sums;
+            # the reshape splits only the contiguous axis, so it writes through to rows.
+            rows[:, sj:sj + k].reshape(q - p, m - 1, d)[...] = sums[:, :-1, None]
+            rows[:, sj + k:] = sums[:, -1:]
+            rows[:, :sj] = sums[:, -1:]
+            # a -> 2 * mean - a over the block's grid rows.
+            np.subtract(rows[:len(body), None], body, out=body)
+            if q == m:
+                for strip in (grid[si + k:], grid[:si]):
+                    np.subtract(rows[-1], strip, out=strip)
 
 
 class TileState:
@@ -382,12 +405,22 @@ class TileState:
         return self.signs @ self._flat.take(self.marked_tiles) + self.deltas
 
     def as_grid(self) -> np.ndarray:
-        """(L, L) amplitudes, materialized afresh."""
+        """(L, L) amplitudes, materialized afresh, in row blocks of about ``TILE_BLOCK`` cells."""
         side, d = self.geometry.side, self.tile_side
         lines = np.arange(side)
         (ar, ac), (br, bc) = (((lines - o) % side // d for o in origin) for origin in self.origins)
-        grid = (self.signs[0] * self.coefficients[0]).take(ar, 0).take(ac, 1)
-        grid += (self.signs[1] * self.coefficients[1]).take(br + 1, 0).take(bc + 1, 1)
+        (sa, sb), (a, b) = self.signs, self.coefficients
+        # The signs are +-1: negating, or subtracting, gives the bits of multiplying by them.
+        combine = np.add if sb > 0 else np.subtract
+        grid = np.empty((side, side))
+        step = max(1, TILE_BLOCK // side)
+        for lo in range(0, side, step):
+            block = grid[lo:lo + step]
+            # Every line maps into the lattice, so "clip" only skips the bounds check.
+            np.take(a.take(ar[lo:lo + step], 0), ac, 1, out=block, mode="clip")
+            if sa < 0:
+                np.negative(block, out=block)
+            combine(block, b.take(br[lo:lo + step] + 1, 0).take(bc + 1, 1), out=block)
         grid.reshape(-1)[self.marked.indices(self.geometry)] += self.deltas
         return grid
 

@@ -127,26 +127,61 @@ DEFAULT_HEATMAP_COLORS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def bin_index(amplitude) -> np.ndarray:
-    """Bin index of an amplitude (scalar or array) under the clamp-and-cap rule."""
-    a = np.clip(np.asarray(amplitude, dtype=np.float64), HEATMAP_FLOOR, 1.0)
+def _bins(amplitudes: np.ndarray) -> np.ndarray:
+    """Bin indices of float64 amplitudes with no NaN: clamp, floor, cap."""
+    a = np.clip(amplitudes, HEATMAP_FLOOR, 1.0)
     bins = np.floor((a - HEATMAP_FLOOR) / HEATMAP_BIN_WIDTH).astype(np.int64)
     return np.minimum(bins, len(DEFAULT_HEATMAP_COLORS) - 1)
 
 
+def _refuse_nan(nan_cells: int) -> None:
+    if nan_cells:
+        raise ValueError(f"{nan_cells} amplitude cells are NaN, which has no heatmap bin")
+
+
+def bin_index(amplitude) -> np.ndarray:
+    """Bin index of an amplitude (scalar or array) under the clamp-and-cap rule.
+
+    +-inf clamp like any out-of-range value; a NaN raises ``ValueError``.
+    """
+    a = np.asarray(amplitude, dtype=np.float64)
+    _refuse_nan(np.count_nonzero(np.isnan(a)))
+    return _bins(a)
+
+
 def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
-    """Render an amplitude grid to a binary portable pixmap (P6), ``scale`` pixels per cell side."""
+    """Render an amplitude grid to a binary portable pixmap (P6), ``scale`` pixels per cell side.
+
+    The raster is binned and written in blocks of whole grid rows, about
+    ``CELL_BLOCK`` cells and ``CELL_BLOCK * scale**2`` pixels each, through one
+    reused pixel buffer, so the writer holds one block, never the raster.
+    A grid with a NaN raises ``ValueError`` before the file is opened.
+    """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError(f"expected a 2-d amplitude grid, got shape {grid.shape}")
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
-    pixels = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)[bin_index(grid)]
-    if scale > 1:
-        pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
-    height, width = pixels.shape[:2]
+    rows, cols = grid.shape
+    block_rows = max(1, min(rows, CELL_BLOCK // max(cols, 1)))
+    tops = range(0, rows, block_rows)
+    # A sum is NaN if a term is (or +inf meets -inf); only then count the NaNs, block by block.
+    with np.errstate(invalid="ignore"):
+        if np.isnan(grid.sum()):
+            _refuse_nan(sum(np.count_nonzero(np.isnan(grid[top:top + block_rows])) for top in tops))
+    colors = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)
+    # One block of pixel rows: each cell row's pixels, then scale - 1 copies of them.
+    pixels = np.empty((block_rows, scale, cols * scale, 3), dtype=np.uint8)
     path = Path(path)
     with path.open("wb") as handle:
-        handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(pixels.tobytes())
+        handle.write(f"P6\n{cols * scale} {rows * scale}\n255\n".encode("ascii"))
+        for top in tops:
+            bins = _bins(grid[top:top + block_rows])
+            if scale > 1:
+                bins = np.repeat(bins, scale, axis=1)
+            out = pixels[:len(bins)]
+            # Every bin is in range, so "clip" only skips the bounds check.
+            np.take(colors, bins, axis=0, out=out[:, 0], mode="clip")
+            out[:, 1:] = out[:, :1]
+            handle.write(out)
     return path

@@ -24,7 +24,9 @@ diffusion's step cost (the tile side for squares, 1 for crosses).
 
 from __future__ import annotations
 
+import functools
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,6 +88,35 @@ def default_horizon(geometry: GridGeometry) -> int:
     return 4 * geometry.side
 
 
+@functools.cache
+def _physical_memory() -> "int | None":
+    """Bytes of physical memory (page size x page count), or None where the platform lacks them.
+
+    Read once per process: the page count is a system call, and every run config asks.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
+def _stored_grids_problem(geometry: GridGeometry, horizon: int, stride: int) -> "str | None":
+    """Why the grids a run stores cannot fit in physical memory, or None.
+
+    A run stores one float64 (L, L) grid every ``stride`` rounds: floor(horizon
+    / stride) * L^2 * 8 bytes, held until the run returns.
+    """
+    if stride < 1:
+        return None
+    grids, side = horizon // stride, geometry.side
+    stored, memory = grids * geometry.cell_count * 8, _physical_memory()
+    if memory is not None and stored > memory:
+        return (f"snapshot_stride: {grids} stored {side} x {side} grids take {stored / 2**20:,.0f} "
+                f"MiB, more than the {memory / 2**20:,.0f} MiB of physical memory")
+    return None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one grid run needs.
@@ -130,6 +161,9 @@ class RunConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
+        if problem := _stored_grids_problem(self.geometry, self.max_iterations,
+                                            self.snapshot_stride):
+            raise ValueError(problem)
         # Raises if the marked cells collide after wrapping.
         self.marked.normalized(self.geometry)
 
@@ -283,6 +317,8 @@ def run_grover_reference(
         raise ValueError("iterations must be at least 1")
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be nonnegative")
+    if problem := _stored_grids_problem(geometry, iterations, snapshot_stride):
+        raise ValueError(problem)
     if marked_indices is None:
         marked_indices = range(marked_count)
     if not all(isinstance(i, numbers.Integral) for i in marked_indices):

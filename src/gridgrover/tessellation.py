@@ -81,6 +81,7 @@ class Partition:
     step_cost: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
+        _integer_cells((self.tile_shift,), "tile shifts")
         if self.kind == KIND_CUSTOM:
             validate_partition(self)
         elif self.kind not in (KIND_SQUARE, KIND_CROSS, KIND_FOUR_CORNERS):
@@ -116,6 +117,14 @@ class Partition:
     @cached_property
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.group_ids).astype(np.float64)
+
+    @cached_property
+    def _doubling(self) -> np.ndarray:
+        """2 / size per group: scales group sums into the doubled means of a reflection.
+
+        Counted afresh, so a run holds it in place of ``group_sizes``, not beside it.
+        """
+        return 2.0 / np.bincount(self.group_ids)
 
     @property
     def group_count(self) -> int:
@@ -210,6 +219,7 @@ def custom_partition(
 
 def translate_partition(partition: Partition, offset: tuple[int, int]) -> Partition:
     """Shift every cell by a fixed offset; a named tessellation moves its origin, kept modulo L."""
+    _integer_cells((offset,), "partition offsets")
     di, dj = offset
     side = partition.geometry.side
     if partition.kind == KIND_CUSTOM:

@@ -472,3 +472,20 @@ def test_parser_matches_the_previous_parser(text):
         sides = [math.isqrt(n) for n in new["sweep_n"]] or [new["side"]]
         assert new["sweep_marked"] or new["side"] not in sides
     assert list(parse_config(text).sweep_points())
+
+
+def test_stored_grids_must_fit_on_every_swept_side(monkeypatch):
+    # With 1 MiB of memory: at stride 8, L = 8 stores 4 grids of 512 B and L = 64 stores
+    # 32 grids of 32 KiB (1 MiB, which fits); L = 80 stores 40 grids of 50 KiB.
+    from gridgrover import simulator
+
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+    text = "L = 8\nsnapshot_stride = 8\nemit_heatmaps = true\n"
+    assert len(list(parse_config(text + "sweep_n = 64, 4096\n").sweep_points())) == 2
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "sweep_n = 64, 6400, 4096\n")
+    assert err.value.violations == ("snapshot_stride: 40 stored 80 x 80 grids take 2 MiB, "
+                                    "more than the 1 MiB of physical memory",)
+    config = parse_config("L = 64\nsnapshot_stride = 8\nemit_snapshots = true\n")
+    with pytest.raises(ConfigError, match="64 stored 64 x 64 grids take 2 MiB, more than the 1 MiB"):
+        dataclasses.replace(config, snapshot_stride=4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -160,3 +162,49 @@ def test_marked_set_rejects_non_integer_coordinates():
 def test_marked_set_normalized_sorted():
     cells = MarkedSet.of((5, -1), (0, 0)).normalized(GridGeometry(4))
     assert cells == (Coord(0, 0), Coord(1, 3))
+
+
+def reference_tile_grid(state):
+    # The whole-grid materialization: two grid-sized gathers and their sum.
+    side, d = state.geometry.side, state.tile_side
+    lines = np.arange(side)
+    (ar, ac), (br, bc) = (((lines - o) % side // d for o in origin) for origin in state.origins)
+    grid = (state.signs[0] * state.coefficients[0]).take(ar, 0).take(ac, 1)
+    grid += (state.signs[1] * state.coefficients[1]).take(br + 1, 0).take(bc + 1, 1)
+    grid.reshape(-1)[state.marked.indices(state.geometry)] += state.deltas
+    return grid
+
+
+@pytest.mark.parametrize("side,d,block", [(400, 4, None), (24, 4, 50), (30, 6, 7), (12, 12, 5)])
+def test_tile_as_grid_blocks_match_the_whole_grid(monkeypatch, side, d, block):
+    # L = 400 fills its grid in blocks of 81 rows, the last one 76; small blocks cut small
+    # grids into one-row and two-row blocks.  Each step flips one lattice sign, so all four
+    # sign pairs are checked, with nonzero marked-cell deltas.
+    from gridgrover import grid as grid_module
+
+    if block is not None:
+        monkeypatch.setattr(grid_module, "TILE_BLOCK", block)
+    g = GridGeometry(side)
+    marked = MarkedSet.of((side // 2 + 1, side // 2 + 1), (1, 2), (side - 1, 0))
+    local, dispersion = square_partition(g, d), shifted_square_partition(g, d)
+    state = TileState(marked, local, dispersion)
+    signs = set()
+    for partition in (local, dispersion, local, dispersion, dispersion, local) * 2:
+        state._oracle(marked)
+        state._reflect(partition)
+        signs.add(tuple(state.signs))
+        assert state.as_grid().tobytes() == reference_tile_grid(state).tobytes()
+    assert len(signs) == 4 or d == side
+
+
+def test_tile_as_grid_holds_one_grid():
+    # At L = 1024 the grid is 8 MiB; the blocks add two block-sized gathers, not a second grid.
+    state = TileState(MarkedSet.of((513, 513)), square_partition(GridGeometry(1024), 4),
+                      shifted_square_partition(GridGeometry(1024), 4))
+    tracemalloc.start()
+    try:
+        state.as_grid()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2**20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,90 @@ def test_oracle_matches_dense_matrix_on_unwrapped_marked_sets(side, cells, seed)
         return
     expected = dense_oracle(dense_marked, g) @ state.amplitudes
     np.testing.assert_array_equal(apply_oracle(state, marked).amplitudes, expected)
+
+
+def reference_group_reflection(partition, amplitudes):
+    # The whole-array reflection: one bincount, one grid-sized gather of the doubled means.
+    ids = partition.group_ids
+    doubled_means = np.bincount(ids, weights=amplitudes) * (2.0 / partition.group_sizes)
+    return doubled_means[ids] - amplitudes
+
+
+def test_group_reflections_match_the_whole_array_reflection(monkeypatch):
+    # L = 200 spans two blocks of grid.TILE_BLOCK cells, the last one short; a 7-cell block
+    # makes a small grid span many.  The custom groups hold 1, 2, 3, ... scattered cells.
+    from gridgrover import cross_partition, four_corners_partition, grid
+
+    def partitions(side):
+        g = GridGeometry(side)
+        cells = np.random.default_rng(side).permutation(g.cell_count)
+        cuts = np.cumsum(np.arange(1, int(math.isqrt(2 * g.cell_count)) + 1))
+        hand = [[divmod(int(c), side) for c in part] for part in np.split(cells, cuts) if part.size]
+        return cross_partition(g), four_corners_partition(g, 4), custom_partition(g, hand)
+
+    for side, block in ((200, grid.TILE_BLOCK), (40, 7)):
+        monkeypatch.setattr(grid, "TILE_BLOCK", block)
+        for partition in partitions(side):
+            assert partition.tile_side is None
+            state = random_state(GridGeometry(side), side)
+            for _ in range(3):
+                expected = reference_group_reflection(partition, state.amplitudes)
+                apply_partition_diffusion(state, DiffusionSpec(partition))
+                assert state.amplitudes.tobytes() == expected.tobytes(), (side, partition.kind)
+
+
+def test_group_reflections_allocate_no_grid_sized_array():
+    # At L = 400 the state is 1.2 MiB; a reflection holds the doubled means (32 000 and
+    # 40 000 groups) and one block of gathered means, not a gathered grid.
+    from gridgrover import cross_partition, four_corners_partition
+
+    g = GridGeometry(400)
+    for partition in (cross_partition(g), four_corners_partition(g, 4)):
+        state = random_state(g, 400)
+        state._reflect(partition)  # derives and caches the map and the group sizes
+        tracemalloc.start()
+        try:
+            state._reflect(partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 2**20, partition.kind
+
+
+@pytest.mark.parametrize("side,d", [(12, 4), (30, 6), (40, 8), (9, 3), (12, 12), (6, 1)])
+def test_grid_state_tile_row_blocks_match_one_block(monkeypatch, side, d):
+    # Small grids reflect all tile rows in one block; forced blocks of one, two or more tile
+    # rows, the last one short and holding the wrapped tile row, must give the same bits.
+    from gridgrover import Partition, grid
+
+    g = GridGeometry(side)
+    for shift in ((0, 0), (1, 2), (d // 2, d // 2), (d - 1, 0)):
+        partition = Partition(g, "square", d=d, tile_shift=shift)
+        one = random_state(g, side + d)
+        expected = []
+        for _ in range(3):
+            one._reflect(partition)
+            expected.append(one.amplitudes.tobytes())
+        for block in (1, side, 2 * side + 1, 5 * side):
+            with monkeypatch.context() as patch:
+                patch.setattr(grid, "TILE_ONE_BLOCK", 0)
+                patch.setattr(grid, "TILE_BLOCK", block)
+                state = random_state(g, side + d)
+                for values in expected:
+                    state._reflect(partition)
+                    assert state.amplitudes.tobytes() == values, (shift, block)
+
+
+def test_grid_state_tile_reflection_allocates_no_grid_sized_array():
+    # At L = 1000 the row sums of all 250 tile rows would take 2 MB; blocks hold 32 rows.
+    g = GridGeometry(1000)
+    partition = shifted_square_partition(g, 4)
+    state = uniform_state(g)
+    state._reflect(partition)
+    tracemalloc.start()
+    try:
+        state._reflect(partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 2**20

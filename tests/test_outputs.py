@@ -27,6 +27,7 @@ from gridgrover import (
     translate_partition,
     uniform_state,
 )
+from gridgrover import outputs
 from gridgrover.outputs import CELL_BLOCK, DEFAULT_HEATMAP_COLORS
 
 
@@ -275,3 +276,63 @@ def test_default_colors_brighten_monotonically():
     luminance = [0.299 * r + 0.587 * g + 0.114 * b for r, g, b in DEFAULT_HEATMAP_COLORS]
     assert luminance == sorted(luminance)
     assert len(DEFAULT_HEATMAP_COLORS) == 10
+
+
+def reference_heatmap(grid, scale):
+    # The whole-raster emitter, kept as the byte reference.
+    bins = np.minimum(np.floor((np.clip(grid, -0.5, 1.0) + 0.5) / 0.15).astype(np.int64), 9)
+    pixels = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)[bins]
+    pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
+    height, width = pixels.shape[:2]
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+@pytest.mark.parametrize("cell_block", [10, CELL_BLOCK])
+def test_heatmap_bytes_match_the_whole_raster_reference(tmp_path, monkeypatch, cell_block):
+    # With 10-cell blocks a 7 x 5 grid runs as 2 + 2 + 2 + 1 rows and 401 x 3 ends on 2 rows;
+    # a 1 x 13 row is wider than a block.  1000 x 7 ends on a partial block of the default size.
+    monkeypatch.setattr(outputs, "CELL_BLOCK", cell_block)
+    rng = np.random.default_rng(11)
+    for shape in ((7, 5), (1, 13), (401, 3), (1000, 7), (0, 3), (3, 0)):
+        grid = rng.uniform(-0.8, 1.2, shape)
+        if grid.size:
+            grid.flat[0], grid.flat[-1] = np.inf, -np.inf
+        for scale in (1, 2, 3):
+            path = emit_heatmap(grid, tmp_path / "h.ppm", scale)
+            assert path.read_bytes() == reference_heatmap(grid, scale), (shape, scale)
+    # A strided view streams like its contiguous copy.
+    view = rng.uniform(-0.8, 1.2, (30, 40))[::3, ::-2]
+    assert emit_heatmap(view, tmp_path / "v.ppm", 2).read_bytes() == reference_heatmap(view, 2)
+
+
+def test_heatmap_memory_stays_within_a_block(tmp_path):
+    # An L = 400 raster at scale 2 is 1.9 MB of pixels; the writer holds one block of them.
+    grid = np.random.default_rng(3).uniform(-0.6, 1.1, (400, 400))
+    tracemalloc.start()
+    try:
+        emit_heatmap(grid, tmp_path / "h.ppm", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
+    assert (tmp_path / "h.ppm").read_bytes() == reference_heatmap(grid, 2)
+
+
+def test_bin_index_refuses_nan_and_clamps_infinities():
+    with pytest.raises(ValueError, match="^2 amplitude cells are NaN"):
+        bin_index(np.array([0.0, np.nan, 1.0, np.nan]))
+    with pytest.raises(ValueError, match="^1 amplitude cells are NaN"):
+        bin_index(float("nan"))
+    assert list(bin_index(np.array([-np.inf, np.inf]))) == [0, 9]
+
+
+def test_heatmap_refuses_nan_before_opening_the_file(tmp_path):
+    grid = np.zeros((400, 30))
+    grid[399, 29] = grid[7, 0] = grid[200, 3] = np.nan
+    for scale in (1, 2):
+        with pytest.raises(ValueError, match="^3 amplitude cells are NaN"):
+            emit_heatmap(grid, tmp_path / "x.ppm", scale)
+        assert not (tmp_path / "x.ppm").exists()
+    # +inf next to -inf sums to NaN; with no NaN cell the raster is still written.
+    grid[[399, 7, 200], [29, 0, 3]] = np.inf, -np.inf, 0.5
+    assert emit_heatmap(grid, tmp_path / "x.ppm").read_bytes() == reference_heatmap(grid, 1)

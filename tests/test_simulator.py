@@ -774,3 +774,45 @@ def test_tile_state_matches_grid_state_on_long_runs(side, rounds):
     config = RunConfig(GridGeometry(side), max_iterations=rounds, snapshot_stride=rounds)
     trace = assert_tile_run_matches_grid_state(config)
     assert sorted(trace.snapshots) == [rounds]
+
+
+def test_stored_grids_must_fit_in_physical_memory(monkeypatch):
+    # 256 rounds at stride 1 store 256 grids of 64 x 64 cells: 8 MiB.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 8 * 2**20)
+    g = GridGeometry(64)
+    assert RunConfig(g, max_iterations=256, snapshot_stride=1).snapshot_stride == 1
+    assert run_grover_reference(4096, 1, 256, snapshot_stride=1).snapshots[256].shape == (64, 64)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 8 * 2**20 - 1)
+    message = (r"^snapshot_stride: 256 stored 64 x 64 grids take 8 MiB, "
+               r"more than the 8 MiB of physical memory$")
+    with pytest.raises(ValueError, match=message):
+        RunConfig(g, max_iterations=256, snapshot_stride=1)
+    with pytest.raises(ValueError, match=message):
+        run_grover_reference(4096, 1, 256, snapshot_stride=1)
+    # floor(256 / 3) = 85 grids fit; a run that stores none is never refused.
+    assert RunConfig(g, max_iterations=256, snapshot_stride=3).snapshot_stride == 3
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1)
+    assert RunConfig(g, max_iterations=256).snapshot_stride == 0
+    # A platform without the sysconf names skips the check.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
+    assert RunConfig(GridGeometry(8192), snapshot_stride=1).snapshot_stride == 1
+
+
+def test_physical_memory_reads_sysconf(monkeypatch):
+    memory = simulator._physical_memory()
+    assert memory is None or memory >= 2**20
+    assert simulator._physical_memory() == memory  # read once per process
+    # The uncached reader, so that the fakes below stay out of the cache.
+    read = simulator._physical_memory.__wrapped__
+    monkeypatch.setattr(simulator.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096,
+                                                              "SC_PHYS_PAGES": 3}[name])
+    assert read() == 3 * 4096
+
+    def missing(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(simulator.os, "sysconf", missing)
+    assert read() is None
+    monkeypatch.delattr(simulator.os, "sysconf")
+    assert read() is None
+    assert simulator._physical_memory() == memory

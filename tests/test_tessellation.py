@@ -434,3 +434,16 @@ def test_custom_partition_needs_integer_cells():
         custom_partition(g, [[(0, 0), (0, 1), (0, 3)], [(0.5, 0)], lower])
     numpy_ints = [[(np.int64(i), np.int32(j)) for i, j in lower]]
     assert custom_partition(g, [[(0, j) for j in range(4)], *numpy_ints]).group_count == 2
+
+
+def test_named_partition_needs_integer_tile_shift():
+    # A float shift made a float64 group map, and a run failed only inside np.bincount.
+    g = GridGeometry(8)
+    with pytest.raises(ValueError, match=r"tile shifts need integer coordinates, got \(0.5, 0\)"):
+        Partition(g, KIND_SQUARE, d=4, tile_shift=(0.5, 0))
+    for partition in (square_partition(g, 4), cross_partition(GridGeometry(10)),
+                      custom_partition(GridGeometry(2), [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])):
+        with pytest.raises(ValueError, match=r"offsets need integer coordinates, got \(0, 1.0\)"):
+            translate_partition(partition, (0, 1.0))
+    moved = translate_partition(square_partition(g, 4), (np.int64(3), np.int32(1)))
+    assert moved.tile_shift == (3, 1) and moved.group_ids.dtype == np.intp
