@@ -7,7 +7,8 @@ file reports all of its problems at once.
 
 Keys::
 
-    L / n               grid side / cell count (one required; n = L^2)
+    L / n               grid side / cell count (one required; n = L^2;
+                        every point's state must fit in physical memory)
     marked              flat integer list, consumed in (i, j) pairs and
                         distinct on every swept grid, or "default" for
                         the built-in placement
@@ -47,7 +48,7 @@ from typing import Callable, Iterator
 
 from .grid import Coord, GridGeometry, MarkedSet, _side_of
 from .simulator import (_ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig,
-                        _stored_grids_problem, default_horizon)
+                        _state_problem, _stored_grids_problem, default_horizon)
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -172,6 +173,13 @@ class ExperimentConfig:
         for side, horizon in zip(sides, horizons):
             if problem := _stored_grids_problem(GridGeometry(side), horizon,
                                                 self.snapshot_stride):
+                violations.append(problem)
+        # Every point's state too: square tiles under square or shifted-square ones of the same d
+        # are a tile pair (grid._is_tile_pair), which runs on a TileState.
+        tile_pair = self.dispersion_kind in (KIND_SQUARE, KIND_SHIFTED_SQUARE)
+        for side, kind, tile in product(sides, kinds, tiles):
+            tile_side = tile if tile_pair and kind == KIND_SQUARE else None
+            if tile >= 1 and (problem := _state_problem(side, tile_side)):
                 violations.append(problem)
         if violations:
             # Sweeps can repeat one divisibility problem; report it once.

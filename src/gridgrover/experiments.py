@@ -2,7 +2,9 @@
 
 ``run_experiment`` executes every sweep point of an :class:`ExperimentConfig`,
 writes the requested files under one subdirectory per point, and returns a
-report; a point whose run fails is recorded and the rest continue.
+report of each point's peak, first crest and norm drift; a point's trace is
+dropped once written, so a sweep holds one point at a time.  A point whose
+run fails is recorded and the rest continue.
 
 ``table_report`` reruns the reference result series for the d=4 shifted
 square schedule (the series this simulator was built to reproduce) and
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import first_crest
+from .analysis import PeakSummary, first_crest
 from .config import ExperimentConfig
 from .outputs import emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
 from .grid import GridGeometry, _side_of
@@ -70,10 +72,15 @@ def reference_peak(n: int) -> tuple[float, int]:
 
 @dataclass
 class PointResult:
-    """One sweep point: its label and either a trace or the failure text."""
+    """One sweep point: its label and either the summary of its trace or the failure text.
+
+    ``crest`` is None when the trace still rises at the horizon.
+    """
 
     label: str
-    trace: SimulationTrace | None = None
+    peak: PeakSummary | None = None
+    crest: PeakSummary | None = None
+    max_norm_drift: float | None = None
     error: str | None = None
 
 
@@ -96,7 +103,7 @@ class ExperimentReport:
             if point.error is not None:
                 lines.append(f"{point.label:<42} ERROR: {point.error}")
             else:
-                p, crest = point.trace.peak, first_crest(point.trace)
+                p, crest = point.peak, point.crest
                 crest_columns = (f"{'-':>10} {'-':>10}" if crest is None
                                  else f"{crest.probability:>10.4f} {crest.iteration:>10d}")
                 lines.append(
@@ -129,7 +136,7 @@ def write_point_artifacts(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every sweep point; write artifacts under ``config.out_dir``; record only failed runs."""
+    """Run every sweep point; write artifacts under ``config.out_dir``; keep each point's summary."""
     base = Path(config.out_dir) if config.out_dir is not None else None
     report = ExperimentReport()
     for label, run_config in config.sweep_points():
@@ -138,9 +145,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         except Exception as exc:  # one failing run must not kill the sweep
             report.points.append(PointResult(label=label, error=f"{type(exc).__name__}: {exc}"))
             continue
-        report.points.append(PointResult(label=label, trace=trace))
         if base is not None:
             write_point_artifacts(config, trace, base / label, run_config)
+        report.points.append(PointResult(label, trace.peak, first_crest(trace),
+                                         trace.max_norm_drift))
+        del trace  # the next point runs without this one's snapshots
     if base is not None:
         base.mkdir(parents=True, exist_ok=True)
         (base / "report.txt").write_text(report.render())

@@ -51,11 +51,17 @@ NORM_ATOL = 1e-9
 # reflection and norm in row blocks of about TILE_BLOCK numbers, so each scratch row is read back
 # from L2 right after it is written.  Set by interleaved round timings at d = 4 (Xeon VM, 2 MiB
 # of L2 per core): at L = 1024 one block beat 2^15- and 2^16-number blocks by about 5%; at
-# L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.  GridState
-# reflections and TileState.as_grid use the same blocks, so no kernel allocates a grid-sized
+# L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.  GridState's
+# tile reflection and TileState.as_grid use the same blocks, so no kernel allocates a grid-sized
 # temporary.
 TILE_ONE_BLOCK = 2**17
 TILE_BLOCK = 2**15
+# Cells per band of a group reflection: a partition's period block is the most whole periods of
+# rows that fit, at least one.  Against one whole-map bincount and gather (crosses and four
+# corners, paired in one process, Xeon VM): at L = 400, bands of 2^13, 2^14 and 2^15 cells took
+# x1.3, x1.04-1.07 and x0.98-1.01; at L = 1000, x1.06-1.28, x0.91 and x0.86.  At L = 400 the first
+# reflection peaks at 0.37 MiB with 2^14 (its period block included) and 0.7 MiB with 2^15.
+GROUP_BLOCK = 2**14
 
 
 class NormDriftError(RuntimeError):
@@ -167,9 +173,9 @@ class GridState:
     operator applications.  Construction copies the values and validates
     length, realness and normalization.
 
-    ``_reflect`` about crosses, four corners or custom groups is one
-    ``bincount`` of the amplitudes by the cell -> group map and a blocked
-    gather of the doubled means.  d x d tiles, aligned or shifted, share a
+    ``_reflect`` about crosses, four corners or custom groups runs band by
+    band over the partition's period block (``_reflect_groups``), never its
+    cell -> group map.  d x d tiles, aligned or shifted, share a
     kernel that never rolls the grid: about 1.5 memcpy of traffic, and the
     large-n reference that tests hold ``TileState`` to.  Neither allocates
     a grid-sized temporary.
@@ -215,9 +221,8 @@ class GridState:
     def _reflect(self, partition: "Partition") -> None:
         """a -> 2 * mean(group) - a in place, with O(block) temporaries.
 
-        Groups: one ``bincount`` gives the group sums, scaled in place into doubled
-        means by the partition's cached 2 / size; the gather and subtract then run
-        in blocks of ``TILE_BLOCK`` cells.  d x d tiles shifted by s (m = L/d,
+        Groups: ``_reflect_groups``, in bands of about ``GROUP_BLOCK`` cells, with the
+        bits of one whole-map ``bincount``.  d x d tiles shifted by s (m = L/d,
         k = (m-1)*d): lines s .. s+k-1 of each axis hold the m-1 tiles that do not
         wrap, and the last tile is the strip from s+k to the edge plus the strip
         before s.  Up to ``TILE_ONE_BLOCK`` row sums, all m tile rows form one
@@ -226,16 +231,7 @@ class GridState:
         """
         d, amplitudes = partition.tile_side, self.amplitudes
         if d is None:
-            # Every Partition is an exact cover by nonempty groups, so no mean divides by zero.
-            ids = partition.group_ids
-            doubled_means = np.bincount(ids, weights=amplitudes)
-            doubled_means *= partition._doubling
-            means = np.empty(min(ids.size, TILE_BLOCK))
-            for lo in range(0, ids.size, TILE_BLOCK):
-                block, out = ids[lo:lo + TILE_BLOCK], amplitudes[lo:lo + TILE_BLOCK]
-                # Every id is in range, so "clip" only skips the bounds check.
-                np.take(doubled_means, block, out=means[:block.size], mode="clip")
-                np.subtract(means[:block.size], out, out=out)
+            _reflect_groups(amplitudes, partition._block)
             return
         side = self.geometry.side
         grid, m = amplitudes.reshape(side, side), side // d
@@ -269,6 +265,54 @@ class GridState:
             if q == m:
                 for strip in (grid[si + k:], grid[:si]):
                     np.subtract(rows[-1], strip, out=strip)
+
+
+def _reflect_groups(amplitudes: np.ndarray, block) -> None:
+    """a -> 2 * mean(group) - a, in place, band by band over a partition's ``_block``.
+
+    Each band's group sums are one ``bincount``, seeded with the running sums
+    of the groups it shares with the band above (and the last band with band
+    0, across the row wrap), so every sum adds its cells in cell order, the
+    bits of one ``bincount`` over the whole map.  The seeds stand in for the
+    amplitudes just before the band during the call, so the band is not
+    copied.  A band's sums are complete once the band below is summed; its
+    doubled means are then gathered and subtracted while it is still in
+    cache.  Band 0 goes last.
+    """
+    ids, span, shift, carry, wrap = block.ids, block.span, block.shift, block.carry, block.wrap
+    lead = wrap + carry
+    local = ids[lead:]  # the local ids of one band's cells
+    cells, last = local.size, (amplitudes.size - 1) // local.size
+    means, doubled, kept = np.empty(cells), np.empty(span), np.empty(lead)
+
+    def subtract(t: int, sums: np.ndarray) -> None:
+        band = amplitudes[t * cells:(t + 1) * cells]
+        np.multiply(sums, block.scale, out=doubled)
+        # Every local id is below span, so "clip" only skips the bounds check.
+        np.take(doubled, local[:band.size], out=means[:band.size], mode="clip")
+        np.subtract(means[:band.size], band, out=band)
+
+    for t in range(last + 1):
+        lo, hi = t * cells, min((t + 1) * cells, amplitudes.size)
+        if t == 0:
+            first = sums = np.bincount(local[:hi], weights=amplitudes[:hi], minlength=span)
+        else:
+            seeds = carry + (wrap if t == last else 0)
+            before = amplitudes[lo - seeds:lo]
+            kept[:seeds] = before
+            before[:seeds - carry] = first[:seeds - carry]
+            before[seeds - carry:] = prev[shift:]
+            sums = np.bincount(ids[lead - seeds:lead + hi - lo], weights=amplitudes[lo - seeds:hi],
+                               minlength=span)
+            before[:] = kept[:seeds]
+            prev[shift:] = sums[:carry]  # the band above is complete
+            if t > 1:
+                subtract(t - 1, prev)
+        prev = sums
+    if last:
+        first[:wrap] = prev[span - wrap:]  # band 0's groups across the row wrap are complete
+        subtract(last, prev)
+    subtract(0, first)
 
 
 class TileState:
@@ -329,11 +373,11 @@ class TileState:
         self._taps = (self._scale * rows[0] * cols[0], cols[1] / cols[0], rows[1] / rows[0])
         # Window blocks of whole rows.  Block [lo, hi) fills scratch[:hi - lo + width] from the
         # taps over [lo, hi + width), both its T rows width apart, so blocks run in any order.
-        block_rows = m if size <= TILE_ONE_BLOCK else max(1, TILE_BLOCK // width)
+        block_rows = _tile_block_rows(m)
         cuts = [*range(0, size, block_rows * width), size]
         blocks = list(zip(cuts, cuts[1:]))
         # 64-byte aligned: at 16-byte offsets an L = 1024 round ran 10-30% slower (Xeon VM).
-        raw = np.empty((block_rows + 1) * width + 7)
+        raw = np.empty(_tile_scratch_size(m))
         scratch = raw[-raw.ctypes.data % 64 // 8:][:(block_rows + 1) * width]
         # Per lattice: its window; the other's ec = 0 and ec = 1 taps; T[er = 0], T[er = 1] offsets.
         lattices = ((a[:size], b[1:], b[:-1], width, 0), (b[m + 2:], a[:-1], a[1:], 0, width))
@@ -434,6 +478,25 @@ class TileState:
         values = self.as_grid().reshape(-1)
         values.flags.writeable = False
         return values
+
+
+def _tile_block_rows(m: int) -> int:
+    """Window rows per block of a tile state with m tiles a side (windows of m(m + 1) - 1 numbers)."""
+    return m if m * (m + 1) - 1 <= TILE_ONE_BLOCK else max(1, TILE_BLOCK // (m + 1))
+
+
+def _tile_scratch_size(m: int) -> int:
+    """Numbers in a tile state's scratch: one block of window rows and a row more, plus alignment."""
+    return (_tile_block_rows(m) + 1) * (m + 1) + 7
+
+
+def _state_bytes(side: int, tile_side: "int | None") -> int:
+    """Bytes of a run's state on an L = ``side`` grid: a ``GridState`` (``tile_side`` None) is
+    8 L^2; a ``TileState`` its two (m + 1)^2 coefficient lattices, m = L/d, and its scratch."""
+    if tile_side is None:
+        return 8 * side * side
+    m = side // tile_side
+    return 8 * (2 * (m + 1) ** 2 + _tile_scratch_size(m))
 
 
 def uniform_state(geometry: GridGeometry) -> GridState:

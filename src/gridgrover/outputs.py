@@ -67,22 +67,24 @@ def _texts(fmt: str, values: "range | list") -> np.ndarray:
     return np.array(text.encode("ascii").split(b"\0")[:-1], dtype=np.bytes_)
 
 
-def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | Path") -> Path:
+def _emit_cell_csv(shape: "tuple[int, int]", rows_of, header: str, value_fmt: str,
+                   path: "str | Path") -> Path:
     """Write ``header``, then one ``i,j,value`` row per cell, row-major.
 
+    ``rows_of(top, bottom)`` gives the values of grid rows top .. bottom - 1.
     A run's grid holds few distinct values, so each block of rows formats only
     its distinct values (distinct bit patterns: 0.0 and -0.0 keep their own text)
     and joins every line from its row, column and value text as NUL-padded bytes,
     then drops the padding (no formatted number holds a NUL).
     """
-    rows, cols = grid.shape
+    rows, cols = shape
     block_rows = max(1, CELL_BLOCK // max(cols, 1))
     col_text = _texts("%d,", range(cols))
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(f"{header}\r\n".encode("ascii"))
         for top in range(0, rows, block_rows):
-            block = np.ascontiguousarray(grid[top:top + block_rows])
+            block = np.ascontiguousarray(rows_of(top, min(top + block_rows, rows)))
             keys, inverse = np.unique(block.reshape(-1).view(f"u{block.itemsize}"),
                                       return_inverse=True)
             row_text = _texts("%d,", range(top, top + len(block)))
@@ -96,13 +98,15 @@ def _emit_cell_csv(grid: np.ndarray, header: str, value_fmt: str, path: "str | P
 
 def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
     """Write one ``i,j,amplitude`` row per cell, row-major."""
-    return _emit_cell_csv(np.asarray(grid), "i,j,amplitude", "%.17g", path)
+    grid = np.asarray(grid)
+    return _emit_cell_csv(grid.shape, lambda top, bottom: grid[top:bottom],
+                          "i,j,amplitude", "%.17g", path)
 
 
 def emit_partition_csv(partition: Partition, path: "str | Path") -> Path:
-    """Write one ``i,j,group`` row per cell, row-major, from the cell -> group map."""
+    """Write one ``i,j,group`` row per cell, row-major, a block of rows at a time."""
     side = partition.geometry.side
-    return _emit_cell_csv(partition.group_ids.reshape(side, side), "i,j,group", "%d", path)
+    return _emit_cell_csv((side, side), partition._group_rows, "i,j,group", "%d", path)
 
 
 # Amplitudes are clamped to [HEATMAP_FLOOR, 1.0] and binned by

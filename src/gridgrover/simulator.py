@@ -39,7 +39,9 @@ from .grid import (
     GridState,
     MarkedSet,
     TileState,
+    _is_tile_pair,
     _side_of,
+    _state_bytes,
     _uniform_start,
     coord_of_index,
     marked_probability,
@@ -117,6 +119,15 @@ def _stored_grids_problem(geometry: GridGeometry, horizon: int, stride: int) -> 
     return None
 
 
+def _state_problem(side: int, tile_side: "int | None") -> "str | None":
+    """Why a run's state (``grid._state_bytes``) cannot fit in physical memory, or None."""
+    state, memory = _state_bytes(side, tile_side), _physical_memory()
+    if memory is not None and state > memory:
+        return (f"the state of a run on the {side} x {side} grid takes {state / 2**20:,.0f} MiB, "
+                f"more than the {memory / 2**20:,.0f} MiB of physical memory")
+    return None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one grid run needs.
@@ -163,6 +174,10 @@ class RunConfig:
             raise ValueError("snapshot_stride must be nonnegative")
         if problem := _stored_grids_problem(self.geometry, self.max_iterations,
                                             self.snapshot_stride):
+            raise ValueError(problem)
+        local, dispersion = self.local_partition, self.dispersion_partition
+        tile_side = local.tile_side if _is_tile_pair(local, dispersion) else None
+        if problem := _state_problem(self.geometry.side, tile_side):
             raise ValueError(problem)
         # Raises if the marked cells collide after wrapping.
         self.marked.normalized(self.geometry)

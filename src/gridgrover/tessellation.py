@@ -14,20 +14,26 @@ unitary.  Four named tessellations are provided:
 * ``four_corners_partition`` -- quadruples {(a,b)+(x,y): x,y in {0,d}}
   inside 2d-periodic blocks.
 
-Every partition is read through its cell -> group map, ``group_ids``.  A
-named tessellation is its descriptor, checked on construction, and derives
-its map in closed form when first read; hand-built groups
-(``custom_partition``) store a map checked on construction.  So no
-``Partition`` is an invalid cover.
+A named tessellation is its descriptor, checked on construction.  Its map
+repeats down the rows: P rows down (P = d for squares, 2d for four corners,
+5 for crosses) every group id grows by a fixed step, and L rows down by the
+group count, so ids taken modulo the group count also wrap the rows.  A
+partition is read through one block of P * k rows of ids, built when first
+asked for; hand-built groups (``custom_partition``) store a map checked on
+construction, which is their block (P = L, step 0).  So no ``Partition`` is
+an invalid cover.  The whole cell -> group map, ``group_ids``, is derived
+only on request; no run or emitter reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import grid
 from .grid import GridGeometry, _integer_cells, cell_index
 
 __all__ = [
@@ -59,9 +65,36 @@ class InvalidPartitionError(ValueError):
     """Raised when groups are empty or fail to cover every grid cell exactly once."""
 
 
+class _PeriodBlock(NamedTuple):
+    """A partition's ids, band by band: band t (grid rows t * rows on) holds groups
+    (base + t * shift + b) % G for its local ids b = 0 .. span - 1, G groups in all.
+
+    ``ids`` holds ``wrap + carry`` seed numbers, then the local id of each of the
+    band's cells, row-major.  A band's first ``carry`` local groups are the last of
+    the band above it (b + shift there); the last band's last ``wrap`` are band 0's
+    first, across the row wrap.  The seeds number those groups in that order: the
+    last band's ``wrap``, then every band's ``carry``.  ``scale`` is 2 / size per
+    group, a scalar when the groups have one size.
+    """
+
+    rows: int
+    ids: np.ndarray
+    span: int
+    base: int
+    shift: int
+    carry: int
+    wrap: int
+    scale: "float | np.ndarray"
+
+
+# Per (j - 2i) % 5 of a cell (i, j): the offset from it to the center of its cross.
+_CROSS_ROW = np.array([0, 0, 1, -1, 0])
+_CROSS_COL = np.array([0, -1, 0, 0, 1])
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint nonempty cell groups covering the grid; ``group_ids`` maps each cell to one.
+    """Disjoint nonempty cell groups covering the grid.
 
     A named tessellation (square, cross, four-corners) is ``kind``, ``d``
     (the tile side of squares, the corner spacing of four-corners; crosses
@@ -70,6 +103,9 @@ class Partition:
     max(ids).  The kind fixes the rest: ``tile_side`` is d for squares, else
     None (the tile kernels read (d, ``tile_shift``) alone); ``step_cost``, the
     walk-step charge of one diffusion, is d for squares and corners, else 1.
+    Runs and emitters read the ids through ``_block``, one period block of
+    rows; ``group_ids``, the whole cell -> group map, is for dense matrices,
+    ``validate`` and tests.
     """
 
     geometry: GridGeometry
@@ -96,51 +132,84 @@ class Partition:
 
     @cached_property
     def group_ids(self) -> np.ndarray:
-        """Cell -> group map over row-major cells, as ``intp``."""
+        """Cell -> group map over row-major cells, as ``intp``; derived afresh when first read."""
         if self.kind == KIND_CUSTOM:
             return self.ids
-        side, d, (si, sj) = self.geometry.side, self.d, self.tile_shift
-        if self.kind == KIND_CROSS:
-            return _cross_ids(side, si, sj)
-        # Groups are numbered row-major over blocks, so an id is a row part plus a column part.
-        rows, cols = (np.arange(side) - si) % side, (np.arange(side) - sj) % side
-        if self.kind == KIND_FOUR_CORNERS:
-            # Group (bi, bj, a, b) of 2d x 2d block (bi, bj) holds rows 2d*bi + a + {0, d}
-            # and cols 2d*bj + b + {0, d}; it is number ((bi * L/2d + bj) * d + a) * d + b.
-            rows = rows // (2 * d) * (side // (2 * d)) * d * d + rows % d * d
-            cols = cols // (2 * d) * d * d + cols % d
-        else:
-            # Tile (bi, bj) holds rows d*bi .. d*bi + d - 1; it is number bi * L/d + bj.
-            rows, cols = rows // d * (side // d), cols // d
-        return (rows[:, None] + cols).reshape(-1)
+        return self._group_rows(0, self.geometry.side).reshape(-1)
 
     @cached_property
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.group_ids).astype(np.float64)
 
-    @cached_property
-    def _doubling(self) -> np.ndarray:
-        """2 / size per group: scales group sums into the doubled means of a reflection.
-
-        Counted afresh, so a run holds it in place of ``group_sizes``, not beside it.
-        """
-        return 2.0 / np.bincount(self.group_ids)
-
     @property
     def group_count(self) -> int:
-        return self.group_sizes.size
+        if self.kind == KIND_CUSTOM:
+            return self.group_sizes.size
+        period, step = self._period
+        return self.geometry.side // period * step
 
+    @property
+    def _period(self) -> tuple[int, int]:
+        """(P, step): P rows down, every group id grows by step, before the row wrap."""
+        side, d = self.geometry.side, self.d
+        if self.kind == KIND_CROSS:
+            return 5, side
+        if self.kind == KIND_FOUR_CORNERS:
+            return 2 * d, side * d // 2
+        if self.kind == KIND_SQUARE:
+            return d, side // d
+        return side, 0
 
-def _cross_ids(side: int, si: int, sj: int) -> np.ndarray:
-    """The cross map: five scatters of the group numbers, from the centers to each arm."""
-    # Row i holds the centers j = 2i (mod 5), numbered row-major: i * L/5 + k at j = 2i % 5 + 5k.
-    i = np.arange(side)[:, None]
-    j = 2 * i % 5 + 5 * np.arange(side // 5)
-    numbers = np.arange(side * side // 5).reshape(side, -1)
-    ids = np.empty((side, side), dtype=np.intp)
-    for di, dj in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-        ids[(i + si + di) % side, (j + sj + dj) % side] = numbers
-    return ids.reshape(-1)
+    def _unwrapped_ids(self, rows: int) -> np.ndarray:
+        """Flat ids of grid rows 0 .. rows - 1 (a multiple of P), before the row wrap."""
+        side, d, (si, sj) = self.geometry.side, self.d, self.tile_shift
+        period, step = self._period
+        # One period in closed form: its rows r - si are not wrapped, its columns are.
+        r, c = np.arange(period)[:, None] - si, (np.arange(side) - sj) % side
+        if self.kind == KIND_CROSS:
+            # Centers (i, j) with j = 2i % 5 + 5k are numbered row-major, i * L/5 + k.
+            v = (c - 2 * r) % 5
+            ids = (r + _CROSS_ROW[v]) * (side // 5) + (c + _CROSS_COL[v]) % side // 5
+        elif self.kind == KIND_FOUR_CORNERS:
+            # Group (bi, bj, a, b) of 2d x 2d block (bi, bj) holds rows 2d*bi + a + {0, d}
+            # and cols 2d*bj + b + {0, d}; it is number ((bi * L/2d + bj) * d + a) * d + b.
+            ids = r // (2 * d) * step + r % d * d + (c // (2 * d) * d * d + c % d)
+        else:
+            # Tile (bi, bj) holds rows d*bi .. d*bi + d - 1; it is number bi * L/d + bj.
+            ids = r // d * step + c // d
+        return (ids + step * np.arange(rows // period)[:, None, None]).reshape(-1)
+
+    @cached_property
+    def _block(self) -> _PeriodBlock:
+        """Bands of P * k rows, about ``grid.GROUP_BLOCK`` cells; one band when they cover the grid.
+
+        A custom partition is one band, its stored map.  A band shorter than the
+        grid spans at most count groups (it is at least P rows short), so its
+        local ids name distinct groups.
+        """
+        side, count, custom = self.geometry.side, self.group_count, self.kind == KIND_CUSTOM
+        scale = 2.0 / (self.group_sizes if custom else self.geometry.cell_count // count)
+        period, step = self._period
+        rows = period * max(1, grid.GROUP_BLOCK // (period * side))
+        if rows >= side:
+            ids = self.ids if custom else self._unwrapped_ids(side) % count
+            return _PeriodBlock(side, ids, count, 0, 0, 0, 0, scale)
+        ids = self._unwrapped_ids(rows)
+        base = int(ids.min())
+        ids -= base
+        span, shift = int(ids.max()) + 1, rows // period * step
+        # The last band's local id b is band 0's b - (count - last * shift).
+        last = (side - 1) // rows
+        carry, wrap = max(0, span - shift), max(0, span - count + last * shift)
+        seeds = np.concatenate([np.arange(span - wrap, span), np.arange(carry), ids])
+        return _PeriodBlock(rows, seeds, span, base, shift, carry, wrap, scale)
+
+    def _group_rows(self, top: int, bottom: int) -> np.ndarray:
+        """Group ids of grid rows top .. bottom - 1, a (bottom - top, L) array, from ``_block``."""
+        block = self._block
+        band, row = np.divmod(np.arange(top, bottom), block.rows)
+        local = block.ids[block.wrap + block.carry:].reshape(block.rows, -1)
+        return (local[row] + (block.base + block.shift * band)[:, None]) % self.group_count
 
 
 def _raise_faults(faults: "dict[str, int]") -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from gridgrover import (
     config,
     make_partition,
     parse_config,
+    run,
     run_experiment,
 )
 from gridgrover.tessellation import (
@@ -136,13 +138,63 @@ def test_grids_are_stored_only_for_the_emitters(tmp_path):
         dataclasses.replace(quiet, snapshot_stride=2)
     ((_label, point),) = quiet.sweep_points()
     assert point.snapshot_stride == 0
-    quiet = dataclasses.replace(quiet, out_dir=str(tmp_path))
-    (point,) = run_experiment(quiet).points
-    assert point.trace.snapshots == {}
+    assert run(point).snapshots == {}
+    (result,) = run_experiment(dataclasses.replace(quiet, out_dir=str(tmp_path))).points
+    assert result.error is None and not list(tmp_path.rglob("snapshot_*"))
     for emit in ("emit_snapshots", "emit_heatmaps"):
         noisy = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True})
         ((_label, point),) = noisy.sweep_points()
         assert point.snapshot_stride == 1, emit
+
+
+def test_a_sweep_holds_one_point_at_a_time(tmp_path):
+    # Each point stores 16 grids of 64 x 64 cells, 512 KiB.  Once written, a point keeps its
+    # peak, crest and drift, not its trace, so six points peak less than one point's grids
+    # above three.
+    def sweep_peak(points):
+        cells = ", ".join(f"{i}, {i}" for i in range(points))
+        text = ("L = 64\nmax_iters = 64\nsnapshot_stride = 4\nemit_trace = false\n"
+                f"emit_heatmaps = true\nsweep_marked = {cells}\n")
+        swept = dataclasses.replace(parse_config(text), out_dir=str(tmp_path / f"{points}"))
+        tracemalloc.start()
+        try:
+            report = run_experiment(swept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(report.points) == points
+        return peak, report
+
+    (three, _), (six, report) = sweep_peak(3), sweep_peak(6)
+    assert six - three < 16 * 64 * 64 * 8
+    point = report.points[0]
+    assert not hasattr(point, "trace") and point.max_norm_drift <= 1e-12
+    assert point.crest.iteration <= point.peak.iteration <= 64
+    assert (tmp_path / "6" / "report.txt").read_text() == report.render()
+
+
+def test_every_point_state_must_fit_in_physical_memory(monkeypatch):
+    # At L = 40 the cross point's GridState takes 12 800 bytes and the square point's tile
+    # state 2960, so a 12 799-byte memory refuses the cross point alone.
+    from gridgrover import simulator
+
+    text = "L = 40\nsweep_tessellation = square, cross\n"
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12800)
+    assert len(list(parse_config(text).sweep_points())) == 2
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12799)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == ("the state of a run on the 40 x 40 grid takes 0 MiB, "
+                                    "more than the 0 MiB of physical memory",)
+    # Square tiles under square or shifted-square ones of the same d are a tile pair.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2960)
+    for text in ("L = 40\n", "L = 40\ndispersion = square\n"):
+        ((_label, point),) = parse_config(text).sweep_points()
+        assert point.local_partition.tile_side == point.dispersion_partition.tile_side == 4
+    for text in ("L = 40\ntessellation = cross\n", "L = 40\ndispersion = four-corners\n",
+                 "L = 40\nd = 2\nsweep_d = 2, 4\n"):
+        with pytest.raises(ConfigError, match="40 x 40 grid takes"):
+            parse_config(text)
 
 
 def test_sweep_lists_and_expansion():

@@ -365,8 +365,9 @@ def reference_group_reflection(partition, amplitudes):
 
 
 def test_group_reflections_match_the_whole_array_reflection(monkeypatch):
-    # L = 200 spans two blocks of grid.TILE_BLOCK cells, the last one short; a 7-cell block
-    # makes a small grid span many.  The custom groups hold 1, 2, 3, ... scattered cells.
+    # L = 200 runs in bands of about grid.GROUP_BLOCK cells, the last one short; bands of one
+    # period make L = 40 run in many.  Moved crosses and corners put groups across the band
+    # edges and the row wrap.  The custom groups hold 1, 2, 3, ... scattered cells.
     from gridgrover import cross_partition, four_corners_partition, grid
 
     def partitions(side):
@@ -374,28 +375,33 @@ def test_group_reflections_match_the_whole_array_reflection(monkeypatch):
         cells = np.random.default_rng(side).permutation(g.cell_count)
         cuts = np.cumsum(np.arange(1, int(math.isqrt(2 * g.cell_count)) + 1))
         hand = [[divmod(int(c), side) for c in part] for part in np.split(cells, cuts) if part.size]
-        return cross_partition(g), four_corners_partition(g, 4), custom_partition(g, hand)
+        named = [translate_partition(build(g), offset)
+                 for build in (cross_partition, lambda g: four_corners_partition(g, 4))
+                 for offset in ((0, 0), (1, 2), (3, 4), (side - 1, side - 1))]
+        return [*named, custom_partition(g, hand)]
 
-    for side, block in ((200, grid.TILE_BLOCK), (40, 7)):
-        monkeypatch.setattr(grid, "TILE_BLOCK", block)
+    for side, block in ((200, grid.GROUP_BLOCK), (40, 1)):
+        monkeypatch.setattr(grid, "GROUP_BLOCK", block)
         for partition in partitions(side):
             assert partition.tile_side is None
+            assert (partition._block.rows < side) == (partition.kind != "custom")
             state = random_state(GridGeometry(side), side)
             for _ in range(3):
                 expected = reference_group_reflection(partition, state.amplitudes)
                 apply_partition_diffusion(state, DiffusionSpec(partition))
-                assert state.amplitudes.tobytes() == expected.tobytes(), (side, partition.kind)
+                assert state.amplitudes.tobytes() == expected.tobytes(), (
+                    side, partition.kind, partition.tile_shift)
 
 
 def test_group_reflections_allocate_no_grid_sized_array():
-    # At L = 400 the state is 1.2 MiB; a reflection holds the doubled means (32 000 and
-    # 40 000 groups) and one block of gathered means, not a gathered grid.
+    # At L = 400 the state is 1.2 MiB; the first reflection builds the partition's period
+    # block and holds a band's gathered means and the sums of two or three bands' groups,
+    # not a cell -> group map, a gathered grid or the sums of every group.
     from gridgrover import cross_partition, four_corners_partition
 
     g = GridGeometry(400)
     for partition in (cross_partition(g), four_corners_partition(g, 4)):
         state = random_state(g, 400)
-        state._reflect(partition)  # derives and caches the map and the group sizes
         tracemalloc.start()
         try:
             state._reflect(partition)
@@ -403,6 +409,7 @@ def test_group_reflections_allocate_no_grid_sized_array():
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * 2**20, partition.kind
+        assert "group_ids" not in partition.__dict__
 
 
 @pytest.mark.parametrize("side,d", [(12, 4), (30, 6), (40, 8), (9, 3), (12, 12), (6, 1)])

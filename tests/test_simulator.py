@@ -22,6 +22,7 @@ from gridgrover import (
     default_marked_cell,
     first_crest,
     four_corners_partition,
+    marked_probability,
     peak,
     run,
     run_grover_reference,
@@ -789,9 +790,10 @@ def test_stored_grids_must_fit_in_physical_memory(monkeypatch):
         RunConfig(g, max_iterations=256, snapshot_stride=1)
     with pytest.raises(ValueError, match=message):
         run_grover_reference(4096, 1, 256, snapshot_stride=1)
-    # floor(256 / 3) = 85 grids fit; a run that stores none is never refused.
+    # floor(256 / 3) = 85 grids fit; a run that stores none is refused only for its state,
+    # 6992 bytes for the default tile pair at L = 64.
     assert RunConfig(g, max_iterations=256, snapshot_stride=3).snapshot_stride == 3
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6992)
     assert RunConfig(g, max_iterations=256).snapshot_stride == 0
     # A platform without the sysconf names skips the check.
     monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
@@ -816,3 +818,67 @@ def test_physical_memory_reads_sysconf(monkeypatch):
     monkeypatch.delattr(simulator.os, "sysconf")
     assert read() is None
     assert simulator._physical_memory() == memory
+
+
+def test_state_must_fit_in_physical_memory(monkeypatch):
+    # A GridState is 8n bytes: 12 800 at L = 40.  The default tile pair at L = 64 holds two
+    # 17 x 17 lattices and a scratch of 18 rows of 17 numbers plus 7: 6992 bytes.
+    g, tiles = GridGeometry(40), GridGeometry(64)
+    crosses = dict(local_partition=cross_partition(g))
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12800)
+    assert RunConfig(g, **crosses).max_iterations == 160
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12799)
+    with pytest.raises(ValueError, match=r"^the state of a run on the 40 x 40 grid takes 0 MiB, "
+                                         r"more than the 0 MiB of physical memory$"):
+        RunConfig(g, **crosses)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6992)
+    assert RunConfig(tiles).max_iterations == 256
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6991)
+    with pytest.raises(ValueError, match="64 x 64 grid takes"):
+        RunConfig(tiles)
+    # The tile state's bytes are what it allocates.
+    monkeypatch.undo()
+    config = RunConfig(tiles)
+    tracemalloc.start()
+    try:
+        state = TileState(config.marked, config.local_partition, config.dispersion_partition)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 6992 <= held <= 6992 + 16 * 2**10 and state.tile_side == 4
+
+
+@pytest.mark.parametrize("side,kinds", [(16, None), (64, None), (40, "cross")])
+def test_rtl_state_is_the_dispersion_reflection_of_the_ltr_state(side, kinds):
+    # R_B fixes the uniform start and R_B U_ltr = O R_A O = U_rtl R_B (R_B^2 = I), so after
+    # k rounds the rtl state is R_B applied to the ltr state: tile states at L = 16 and 64,
+    # a cross / shifted-square GridState at L = 40.
+    g = GridGeometry(side)
+    pair = {} if kinds is None else dict(local_partition=cross_partition(g))
+    rounds = 3 * side
+    ltr = run(RunConfig(g, order="ltr", max_iterations=rounds, snapshot_stride=1, **pair))
+    rtl = run(RunConfig(g, order="rtl", max_iterations=rounds, **pair))
+    config = RunConfig(g, **pair)
+    for k, probability in enumerate(rtl.probabilities, start=1):
+        state = GridState(g, ltr.snapshots[k])
+        state._reflect(config.dispersion_partition)
+        assert abs(marked_probability(state, config.marked) - probability) <= 1e-12, k
+
+
+def test_group_runs_hold_one_period_block_per_partition():
+    # At L = 1000 the state is 7.6 MiB; a cross or four-corners run peaks at its state, the
+    # group sums of a few bands and the partitions' period blocks, not a cell -> group map
+    # (7.6 MiB more) or the sums of every group, and the partitions keep only their blocks.
+    g = GridGeometry(1000)
+    for local in (cross_partition(g), four_corners_partition(g, 4)):
+        tracemalloc.start()
+        try:
+            config = RunConfig(g, local_partition=local, max_iterations=2)
+            trace = run(config)
+            del trace
+            held, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 1.5 * 8 * g.cell_count, local.kind
+        assert held < 2**20, local.kind
+        assert "group_ids" not in local.__dict__

@@ -134,6 +134,24 @@ def test_array_generators_match_reference_loops_up_to_40():
             )
 
 
+def test_period_blocks_give_the_reference_maps_band_by_band(monkeypatch, tmp_path):
+    # Bands of one period each: every named map and partition CSV is read band by band,
+    # with groups across the band edges and the row wrap.
+    from gridgrover import grid
+
+    monkeypatch.setattr(grid, "GROUP_BLOCK", 1)
+    rng = random.Random(26)
+    for side in (10, 16, 20, 24, 30, 40):
+        for p, reference in legal_partitions_with_reference(side):
+            di, dj = rng.randrange(side), rng.randrange(side)
+            moved = translate_partition(p, (di, dj))
+            want = reference_translate(reference, side, di, dj)
+            assert groups(moved) == tuple(map(frozenset, want)), (side, p.kind, p.d, di, dj)
+            got = emit_partition_csv(translate_partition(p, (di, dj)), tmp_path / "got.csv")
+            expected = reference_partition_csv(p.geometry, want, tmp_path / "want.csv")
+            assert got.read_bytes() == expected.read_bytes(), (side, p.kind, p.d, di, dj)
+
+
 def reference_partition_csv(geometry, groups, path):
     ids = np.full(geometry.cell_count, -1, dtype=np.int64)
     for g, group in enumerate(groups):
