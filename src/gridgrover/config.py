@@ -8,7 +8,8 @@ file reports all of its problems at once.
 Keys::
 
     L / n               grid side / cell count (one required; n = L^2;
-                        every point's state must fit in physical memory)
+                        a point's stored grids and trace, with the larger
+                        of its state and heatmap block, must fit in memory)
     marked              flat integer list, consumed in (i, j) pairs and
                         distinct on every swept grid, or "default" for
                         the built-in placement
@@ -17,17 +18,17 @@ Keys::
     dispersion          dispersion kind: shifted-square | square | cross |
                         four-corners (default shifted-square)
     order               ltr | rtl round reading (default ltr, the calibrated order)
-    max_iters           horizon override (default 4 * L)
+    max_iters           horizon override (default 4 * L; sizes the trace)
     snapshot_stride     rounds between stored grids (0 = none; >= 1 needs
                         emit_snapshots or emit_heatmaps, which read them,
-                        and at most the horizon of every point; each
-                        point's grids must fit in physical memory)
+                        and at most the horizon of every point; the
+                        grids count toward the point's memory)
     out                 output directory
     emit_trace          write trace.csv (default true)
     emit_snapshots      write snapshot CSVs (needs snapshot_stride >= 1)
     emit_heatmaps       write heatmap rasters (needs snapshot_stride >= 1)
     emit_partition      write partition CSVs
-    heatmap_scale       integer pixel upscale for rasters (default 1)
+    heatmap_scale       integer pixel upscale (default 1; sizes the heatmap block)
     sweep_n             distinct n values to sweep
     sweep_d             distinct d values to sweep
     sweep_tessellation  distinct local kinds to sweep
@@ -41,14 +42,16 @@ so ``dataclasses.replace`` results are validated too.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
 
 from .grid import Coord, GridGeometry, MarkedSet, _side_of
-from .simulator import (_ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig,
-                        _state_problem, _stored_grids_problem, default_horizon)
+from .outputs import _pixel_block
+from .simulator import (_ORDERS, DEFAULT_ORDER, DEFAULT_TILE_SIDE, RunConfig, _memory_problem,
+                        default_horizon)
 from .tessellation import (
     KIND_CROSS,
     KIND_FOUR_CORNERS,
@@ -169,17 +172,15 @@ class ExperimentConfig:
         if horizons and 1 <= min(horizons) < self.snapshot_stride:
             violations.append(f"snapshot_stride: {self.snapshot_stride} exceeds the "
                               f"{min(horizons)}-round horizon of a point, which would store no grid")
-        # Every swept side, so that no point's RunConfig refuses its stored grids.
-        for side, horizon in zip(sides, horizons):
-            if problem := _stored_grids_problem(GridGeometry(side), horizon,
-                                                self.snapshot_stride):
-                violations.append(problem)
-        # Every point's state too: square tiles under square or shifted-square ones of the same d
-        # are a tile pair (grid._is_tile_pair), which runs on a TileState.
+        # Each point's memory.  Square tiles under square or shifted-square ones of one d: TileState.
         tile_pair = self.dispersion_kind in (KIND_SQUARE, KIND_SHIFTED_SQUARE)
-        for side, kind, tile in product(sides, kinds, tiles):
+        marked_count = 1 if self.sweep_marked or not self.marked_cells else len(cells)
+        scale = self.heatmap_scale if self.emit_heatmaps else 0  # no heatmaps: a 0-byte block
+        for (side, horizon), kind, tile in product(zip(sides, horizons), kinds, tiles):
             tile_side = tile if tile_pair and kind == KIND_SQUARE else None
-            if tile >= 1 and (problem := _state_problem(side, tile_side)):
+            if tile >= 1 and (problem := _memory_problem(
+                    side, tile_side, horizon, self.snapshot_stride, marked_count,
+                    math.prod(_pixel_block(side, side, scale)))):
                 violations.append(problem)
         if violations:
             # Sweeps can repeat one divisibility problem; report it once.

@@ -48,7 +48,8 @@ def read_trace_csv(path: "str | Path") -> dict[str, np.ndarray]:
     """Read a trace CSV back into column arrays keyed by header name."""
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        if (header := next(reader, None)) is None:
+            raise ValueError(f"{path}: empty file, expected a trace CSV header")
         rows = [row for row in reader if row]
     columns: dict[str, np.ndarray] = {}
     for index, name in enumerate(header):
@@ -153,6 +154,11 @@ def bin_index(amplitude) -> np.ndarray:
     return _bins(a)
 
 
+def _pixel_block(rows: int, cols: int, scale: int) -> "tuple[int, int, int, int]":
+    """Shape of ``emit_heatmap``'s uint8 pixel buffer: the pixels of one block of grid rows."""
+    return (max(1, min(rows, CELL_BLOCK // max(cols, 1))), scale, cols * scale, 3)
+
+
 def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
     """Render an amplitude grid to a binary portable pixmap (P6), ``scale`` pixels per cell side.
 
@@ -167,7 +173,8 @@ def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     rows, cols = grid.shape
-    block_rows = max(1, min(rows, CELL_BLOCK // max(cols, 1)))
+    block = _pixel_block(rows, cols, scale)
+    block_rows = block[0]
     tops = range(0, rows, block_rows)
     # A sum is NaN if a term is (or +inf meets -inf); only then count the NaNs, block by block.
     with np.errstate(invalid="ignore"):
@@ -175,7 +182,7 @@ def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
             _refuse_nan(sum(np.count_nonzero(np.isnan(grid[top:top + block_rows])) for top in tops))
     colors = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)
     # One block of pixel rows: each cell row's pixels, then scale - 1 copies of them.
-    pixels = np.empty((block_rows, scale, cols * scale, 3), dtype=np.uint8)
+    pixels = np.empty(block, dtype=np.uint8)
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(f"P6\n{cols * scale} {rows * scale}\n255\n".encode("ascii"))

@@ -92,10 +92,7 @@ def default_horizon(geometry: GridGeometry) -> int:
 
 @functools.cache
 def _physical_memory() -> "int | None":
-    """Bytes of physical memory (page size x page count), or None where the platform lacks them.
-
-    Read once per process: the page count is a system call, and every run config asks.
-    """
+    """Bytes of physical memory (page size x page count), or None; read once, as every run asks."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -103,29 +100,25 @@ def _physical_memory() -> "int | None":
     return memory if memory > 0 else None
 
 
-def _stored_grids_problem(geometry: GridGeometry, horizon: int, stride: int) -> "str | None":
-    """Why the grids a run stores cannot fit in physical memory, or None.
+def _memory_problem(side: int, tile_side: "int | None", horizon: int, stride: int,
+                    marked_count: int, write_bytes: int = 0) -> "str | None":
+    """Why what a run on an L = ``side`` grid holds at its peak exceeds physical memory, or None.
 
-    A run stores one float64 (L, L) grid every ``stride`` rounds: floor(horizon
-    / stride) * L^2 * 8 bytes, held until the run returns.
+    Its state (``grid._state_bytes``), floor(horizon / stride) stored (L, L) grids and the trace
+    ``_iterate`` allocates, horizon x (K + 5) numbers for K marked cells.  The writers run once
+    the state is freed, so their largest block, ``write_bytes``, counts where it exceeds the state.
     """
-    if stride < 1:
+    memory, state = _physical_memory(), _state_bytes(side, tile_side)
+    grids = horizon // stride if stride > 0 else 0
+    stored, trace = grids * side * side * 8, horizon * (marked_count + 5) * 8
+    total = stored + trace + max(state, write_bytes)
+    if memory is None or total <= memory:
         return None
-    grids, side = horizon // stride, geometry.side
-    stored, memory = grids * geometry.cell_count * 8, _physical_memory()
-    if memory is not None and stored > memory:
-        return (f"snapshot_stride: {grids} stored {side} x {side} grids take {stored / 2**20:,.0f} "
-                f"MiB, more than the {memory / 2**20:,.0f} MiB of physical memory")
-    return None
-
-
-def _state_problem(side: int, tile_side: "int | None") -> "str | None":
-    """Why a run's state (``grid._state_bytes``) cannot fit in physical memory, or None."""
-    state, memory = _state_bytes(side, tile_side), _physical_memory()
-    if memory is not None and state > memory:
-        return (f"the state of a run on the {side} x {side} grid takes {state / 2**20:,.0f} MiB, "
-                f"more than the {memory / 2**20:,.0f} MiB of physical memory")
-    return None
+    held = (f"the larger of its {state:,} B state and a {write_bytes:,} B heatmap block"
+            if write_bytes else f"its {state:,} B state")
+    return (f"a run on the {side} x {side} grid holds {total:,} B: {held}, {grids:,} stored grids "
+            f"of {stored:,} B and {trace:,} B of trace over {horizon:,} rounds, more than the "
+            f"{memory:,} B of physical memory")
 
 
 @dataclass(frozen=True)
@@ -172,12 +165,10 @@ class RunConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
-        if problem := _stored_grids_problem(self.geometry, self.max_iterations,
-                                            self.snapshot_stride):
-            raise ValueError(problem)
         local, dispersion = self.local_partition, self.dispersion_partition
         tile_side = local.tile_side if _is_tile_pair(local, dispersion) else None
-        if problem := _state_problem(self.geometry.side, tile_side):
+        if problem := _memory_problem(self.geometry.side, tile_side, self.max_iterations,
+                                      self.snapshot_stride, len(self.marked.cells)):
             raise ValueError(problem)
         # Raises if the marked cells collide after wrapping.
         self.marked.normalized(self.geometry)
@@ -332,7 +323,8 @@ def run_grover_reference(
         raise ValueError("iterations must be at least 1")
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be nonnegative")
-    if problem := _stored_grids_problem(geometry, iterations, snapshot_stride):
+    if problem := _memory_problem(geometry.side, geometry.side, iterations, snapshot_stride,
+                                  marked_count):
         raise ValueError(problem)
     if marked_indices is None:
         marked_indices = range(marked_count)

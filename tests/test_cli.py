@@ -190,6 +190,38 @@ def test_table_without_a_crest_in_the_horizon_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["table", "grover"])
+def test_a_horizon_whose_trace_cannot_fit_exits_nonzero(tmp_path, capsys, monkeypatch, command):
+    # 10^12 rounds of trace take 48 TB: refused with one line, not a traceback from np.empty.
+    from gridgrover import simulator
+
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
+    out = tmp_path / "results"
+    flags = ["--config", str(write_config(tmp_path, "L = 8\n"))] if command == "grover" else []
+    assert main([command, *flags, "--out", str(out), "--max-iters", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert ("48,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the "
+            "8,589,934,592 B of physical memory") in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err and not out.exists()
+    if command == "table":
+        assert captured.err.startswith("error: a run on the 4 x 4 grid holds 48,000,000,000,152 B")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_a_heatmap_block_that_cannot_fit_exits_before_any_file(tmp_path, capsys, monkeypatch):
+    # At scale 100 000 the writer's pixel block is 1.7 TiB, allocated after trace.csv is
+    # written: the config must refuse it before the run makes the output directory.
+    from gridgrover import simulator
+
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
+    cfg = write_config(tmp_path, "L = 8\nsnapshot_stride = 4\nemit_heatmaps = true\n"
+                                 "heatmap_scale = 100000\nmax_iters = 8\n")
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "its 272 B state and a 1,920,000,000,000 B heatmap block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_report_prints_no_crest_for_a_rising_trace(tmp_path, capsys):
     # At L = 16 the probability still rises at round 5: the report shows no crest.
     cfg = write_config(tmp_path, "L = 16\n")

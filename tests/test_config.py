@@ -174,27 +174,89 @@ def test_a_sweep_holds_one_point_at_a_time(tmp_path):
 
 
 def test_every_point_state_must_fit_in_physical_memory(monkeypatch):
-    # At L = 40 the cross point's GridState takes 12 800 bytes and the square point's tile
-    # state 2960, so a 12 799-byte memory refuses the cross point alone.
+    # Each point holds its state and a 160-round trace of 1 + 5 numbers a round, 7680 bytes.  At
+    # L = 40 the cross point's GridState takes 12 800 bytes and the square point's tile state
+    # 2960, so a 20 479-byte memory refuses the cross point alone.
     from gridgrover import simulator
 
     text = "L = 40\nsweep_tessellation = square, cross\n"
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12800)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20480)
     assert len(list(parse_config(text).sweep_points())) == 2
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12799)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20479)
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert err.value.violations == ("the state of a run on the 40 x 40 grid takes 0 MiB, "
-                                    "more than the 0 MiB of physical memory",)
+    assert err.value.violations == ("a run on the 40 x 40 grid holds 20,480 B: its 12,800 B "
+                                    "state, 0 stored grids of 0 B and 7,680 B of trace over 160 "
+                                    "rounds, more than the 20,479 B of physical memory",)
     # Square tiles under square or shifted-square ones of the same d are a tile pair.
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2960)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 10640)
     for text in ("L = 40\n", "L = 40\ndispersion = square\n"):
         ((_label, point),) = parse_config(text).sweep_points()
         assert point.local_partition.tile_side == point.dispersion_partition.tile_side == 4
     for text in ("L = 40\ntessellation = cross\n", "L = 40\ndispersion = four-corners\n",
                  "L = 40\nd = 2\nsweep_d = 2, 4\n"):
-        with pytest.raises(ConfigError, match="40 x 40 grid takes"):
+        with pytest.raises(ConfigError, match="40 x 40 grid holds"):
             parse_config(text)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 10639)
+    with pytest.raises(ConfigError, match="its 2,960 B state"):
+        parse_config("L = 40\n")
+
+
+def test_the_memory_rule_sums_the_state_stored_grids_and_trace(monkeypatch):
+    # An L = 40 cross point holding one stored grid: 12 800 bytes of state, 12 800 of grid and
+    # 7680 of trace.  Each part alone fits in 20 000 bytes; together they need 33 280.
+    from gridgrover import simulator
+
+    text = "L = 40\ntessellation = cross\nsnapshot_stride = 160\nemit_snapshots = true\n"
+    message = ("a run on the 40 x 40 grid holds 33,280 B: its 12,800 B state, 1 stored grids of "
+               "12,800 B and 7,680 B of trace over 160 rounds, more than the 20,000 B of physical "
+               "memory")
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20000)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == (message,)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33280)
+    assert len(list(parse_config(text).sweep_points())) == 1
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33279)
+    with pytest.raises(ConfigError, match="holds 33,280 B"):
+        parse_config(text)
+
+
+def test_a_horizon_whose_trace_cannot_fit_is_refused_at_parse(monkeypatch):
+    # 10^12 rounds of trace take 48 TB, whatever the grid.
+    from gridgrover import simulator
+
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
+    with pytest.raises(ConfigError) as err:
+        parse_config("L = 4\nmax_iters = 1000000000000\n")
+    assert err.value.violations == ("a run on the 4 x 4 grid holds 48,000,000,000,152 B: its 152 "
+                                    "B state, 0 stored grids of 0 B and 48,000,000,000,000 B of "
+                                    "trace over 1,000,000,000,000 rounds, more than the "
+                                    "8,589,934,592 B of physical memory",)
+
+
+def test_the_heatmap_block_counts_in_place_of_a_smaller_state(monkeypatch):
+    # At scale 100 000 the one 8-row pixel block of an 8 x 8 grid is 8 x 10^5 x 8 x 10^5 x 3
+    # bytes, 1.7 TiB, far more than the 272-byte state it replaces at write time.
+    from gridgrover import simulator
+
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
+    text = ("L = 8\nsnapshot_stride = 4\nemit_heatmaps = true\nmax_iters = 8\n"
+            "heatmap_scale = {}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.format(100000))
+    assert err.value.violations == ("a run on the 8 x 8 grid holds 1,920,000,001,408 B: the "
+                                    "larger of its 272 B state and a 1,920,000,000,000 B heatmap "
+                                    "block, 2 stored grids of 1,024 B and 384 B of trace over 8 "
+                                    "rounds, more than the 8,589,934,592 B of physical memory",)
+    # 1024 B of grids and 384 of trace, then the state (272 B) or a 192 B block at scale 1.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1680)
+    assert parse_config(text.format(1)).heatmap_scale == 1
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1679)
+    with pytest.raises(ConfigError, match="its 272 B state, 2 stored"):
+        parse_config(text.format(1).replace("emit_heatmaps", "emit_snapshots"))
+    with pytest.raises(ConfigError, match="the larger of its 272 B state and a 192 B heatmap"):
+        parse_config(text.format(1))
 
 
 def test_sweep_lists_and_expansion():
@@ -527,17 +589,24 @@ def test_parser_matches_the_previous_parser(text):
 
 
 def test_stored_grids_must_fit_on_every_swept_side(monkeypatch):
-    # With 1 MiB of memory: at stride 8, L = 8 stores 4 grids of 512 B and L = 64 stores
-    # 32 grids of 32 KiB (1 MiB, which fits); L = 80 stores 40 grids of 50 KiB.
+    # At stride 8, L = 8 stores 4 grids of 512 B and L = 64 stores 32 grids of 32 KiB (1 MiB);
+    # L = 80 stores 40 grids of 50 KiB.  L = 64 also holds 12 288 bytes of trace over 256
+    # rounds and its 12 288-byte heatmap block, which outweighs its 6992-byte state.
     from gridgrover import simulator
 
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
     text = "L = 8\nsnapshot_stride = 8\nemit_heatmaps = true\n"
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20 + 2 * 12288)
     assert len(list(parse_config(text + "sweep_n = 64, 4096\n").sweep_points())) == 2
     with pytest.raises(ConfigError) as err:
         parse_config(text + "sweep_n = 64, 6400, 4096\n")
-    assert err.value.violations == ("snapshot_stride: 40 stored 80 x 80 grids take 2 MiB, "
-                                    "more than the 1 MiB of physical memory",)
+    assert err.value.violations == ("a run on the 80 x 80 grid holds 2,075,600 B: the larger of "
+                                    "its 10,640 B state and a 12,240 B heatmap block, 40 stored "
+                                    "grids of 2,048,000 B and 15,360 B of trace over 320 rounds, "
+                                    "more than the 1,073,152 B of physical memory",)
     config = parse_config("L = 64\nsnapshot_stride = 8\nemit_snapshots = true\n")
-    with pytest.raises(ConfigError, match="64 stored 64 x 64 grids take 2 MiB, more than the 1 MiB"):
+    with pytest.raises(ConfigError, match="64 stored grids of 2,097,152 B"):
         dataclasses.replace(config, snapshot_stride=4)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20 + 2 * 12288 - 1)
+    with pytest.raises(ConfigError, match="holds 1,073,152 B: the larger of its 6,992 B state and "
+                                          "a 12,288 B heatmap block, 32 stored grids of 1,048,576"):
+        parse_config(text + "sweep_n = 64, 4096\n")

@@ -65,6 +65,13 @@ def reference_trace_csv(trace, path):
             writer.writerow([k, format(float(p), ".17g"), format(math.sqrt(p), ".17g"), int(steps)])
 
 
+def test_read_trace_csv_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{path}: empty file, expected a trace CSV header$"):
+        read_trace_csv(path)
+
+
 def test_trace_csv_bytes_match_reference_emitter(tmp_path):
     g = GridGeometry(16)
     traces = {

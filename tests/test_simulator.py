@@ -778,26 +778,76 @@ def test_tile_state_matches_grid_state_on_long_runs(side, rounds):
 
 
 def test_stored_grids_must_fit_in_physical_memory(monkeypatch):
-    # 256 rounds at stride 1 store 256 grids of 64 x 64 cells: 8 MiB.
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 8 * 2**20)
-    g = GridGeometry(64)
+    # 256 rounds at stride 1 store 256 grids of 64 x 64 cells, 8 MiB, beside 256 x (1 + 5)
+    # numbers of trace, 12 288 bytes, and the state: 6992 bytes for the default tile pair,
+    # 152 for the Grover reference's one tile.
+    g, grids, trace = GridGeometry(64), 8 * 2**20, 12288
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 6992)
     assert RunConfig(g, max_iterations=256, snapshot_stride=1).snapshot_stride == 1
-    assert run_grover_reference(4096, 1, 256, snapshot_stride=1).snapshots[256].shape == (64, 64)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 8 * 2**20 - 1)
-    message = (r"^snapshot_stride: 256 stored 64 x 64 grids take 8 MiB, "
-               r"more than the 8 MiB of physical memory$")
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 6991)
+    message = (r"^a run on the 64 x 64 grid holds 8,407,888 B: its 6,992 B state, 256 stored "
+               r"grids of 8,388,608 B and 12,288 B of trace over 256 rounds, more than the "
+               r"8,407,887 B of physical memory$")
     with pytest.raises(ValueError, match=message):
         RunConfig(g, max_iterations=256, snapshot_stride=1)
-    with pytest.raises(ValueError, match=message):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 152)
+    assert run_grover_reference(4096, 1, 256, snapshot_stride=1).snapshots[256].shape == (64, 64)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 151)
+    with pytest.raises(ValueError, match="its 152 B state, 256 stored grids of 8,388,608 B"):
         run_grover_reference(4096, 1, 256, snapshot_stride=1)
-    # floor(256 / 3) = 85 grids fit; a run that stores none is refused only for its state,
-    # 6992 bytes for the default tile pair at L = 64.
+    # floor(256 / 3) = 85 grids fit; a run that stores none holds its state and its trace.
     assert RunConfig(g, max_iterations=256, snapshot_stride=3).snapshot_stride == 3
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6992)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: trace + 6992)
     assert RunConfig(g, max_iterations=256).snapshot_stride == 0
     # A platform without the sysconf names skips the check.
     monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
     assert RunConfig(GridGeometry(8192), snapshot_stride=1).snapshot_stride == 1
+
+
+def test_the_memory_rule_sums_the_state_stored_grids_and_trace(monkeypatch):
+    # An L = 40 cross run holding one stored grid: 12 800 bytes of state, 12 800 of grid and
+    # 7680 of trace.  Each part alone fits in 20 000 bytes; together they need 33 280.
+    g = GridGeometry(40)
+    run_config = dict(local_partition=cross_partition(g), snapshot_stride=160)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20000)
+    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 33,280 B: its 12,800 B "
+                                         r"state, 1 stored grids of 12,800 B and 7,680 B of trace "
+                                         r"over 160 rounds, more than the 20,000 B of physical "
+                                         r"memory$"):
+        RunConfig(g, **run_config)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33280)
+    assert RunConfig(g, **run_config).snapshot_stride == 160
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33279)
+    with pytest.raises(ValueError, match="holds 33,280 B"):
+        RunConfig(g, **run_config)
+
+
+def test_a_horizon_whose_trace_cannot_fit_is_refused_before_it_runs(monkeypatch):
+    # 10^12 rounds of trace take 48 TB: refused before _iterate asks np.empty for them.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
+    message = "48,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the 8,589,"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(GridGeometry(4), max_iterations=10**12)
+    with pytest.raises(ValueError, match=message):
+        run_grover_reference(16, 1, 10**12)
+
+
+def test_a_run_peaks_within_the_memory_rule(monkeypatch):
+    # The rule holds a 10 000-round Grover run at n = 16 to 152 bytes of state and 10 000 x
+    # (1 + 5) numbers of trace, 480 152 bytes; tracemalloc must see no more than that.
+    run_grover_reference(16, 1, 10)
+    tracemalloc.start()
+    try:
+        trace = run_grover_reference(16, 1, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.probabilities.size == 10_000 and 8 * 10_000 * 2 < peak <= 480152
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 480152)
+    assert run_grover_reference(16, 1, 10_000).probabilities.size == 10_000
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 480151)
+    with pytest.raises(ValueError, match="holds 480,152 B: its 152 B state"):
+        run_grover_reference(16, 1, 10_000)
 
 
 def test_physical_memory_reads_sysconf(monkeypatch):
@@ -821,20 +871,22 @@ def test_physical_memory_reads_sysconf(monkeypatch):
 
 
 def test_state_must_fit_in_physical_memory(monkeypatch):
-    # A GridState is 8n bytes: 12 800 at L = 40.  The default tile pair at L = 64 holds two
-    # 17 x 17 lattices and a scratch of 18 rows of 17 numbers plus 7: 6992 bytes.
+    # A GridState is 8n bytes: 12 800 at L = 40, beside 160 x (1 + 5) numbers of trace, 7680
+    # bytes.  The default tile pair at L = 64 holds two 17 x 17 lattices and a scratch of 18
+    # rows of 17 numbers plus 7, 6992 bytes, beside 256 rounds of trace, 12 288 bytes.
     g, tiles = GridGeometry(40), GridGeometry(64)
     crosses = dict(local_partition=cross_partition(g))
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12800)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20480)
     assert RunConfig(g, **crosses).max_iterations == 160
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 12799)
-    with pytest.raises(ValueError, match=r"^the state of a run on the 40 x 40 grid takes 0 MiB, "
-                                         r"more than the 0 MiB of physical memory$"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20479)
+    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 20,480 B: its 12,800 B "
+                                         r"state, 0 stored grids of 0 B and 7,680 B of trace over "
+                                         r"160 rounds, more than the 20,479 B of physical memory$"):
         RunConfig(g, **crosses)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6992)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 19280)
     assert RunConfig(tiles).max_iterations == 256
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6991)
-    with pytest.raises(ValueError, match="64 x 64 grid takes"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 19279)
+    with pytest.raises(ValueError, match="64 x 64 grid holds"):
         RunConfig(tiles)
     # The tile state's bytes are what it allocates.
     monkeypatch.undo()
