@@ -24,6 +24,7 @@ from .grid import (
     GridState,
     MarkedSet,
     NormDriftError,
+    TileGrid,
     TileState,
     cell_index,
     coord_of_index,

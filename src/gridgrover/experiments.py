@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import PeakSummary, first_crest
 from .config import ExperimentConfig
@@ -217,11 +218,12 @@ def table_report(
 
     Raises ``ValueError`` naming the first (n, order) whose trace never falls
     within the horizon, since its last round is no crest; every row runs
-    before any file is written, so a failing table leaves no output.
+    before any file is written, so a failing table leaves no output.  Until
+    then each row keeps only the two columns its ``trace.csv`` reads.
     """
     base = Path(out_dir) if out_dir is not None else None
     report = TableReport()
-    traces = []
+    columns = []
     for n in sizes:
         # Every reference row is a perfect square; sizes without a row raise here.
         reference_amplitude, reference_iterations = reference_peak(n)
@@ -237,12 +239,14 @@ def table_report(
                 trace_max_amplitude=peak.amplitude, trace_max_iteration=peak.iteration,
                 reference_amplitude=reference_amplitude, reference_iterations=reference_iterations,
             ))
-            traces.append(trace)
+            columns.append(SimpleNamespace(probabilities=trace.probabilities,
+                                           cumulative_steps=trace.cumulative_steps))
+            del trace  # its per-cell column goes with it
     if base is not None:
-        for row, trace in zip(report.rows, traces):
+        for row, written in zip(report.rows, columns):
             point_dir = base / f"table_n{row.n}_{row.order}"
             point_dir.mkdir(parents=True, exist_ok=True)
-            emit_trace_csv(trace, point_dir / "trace.csv")
+            emit_trace_csv(written, point_dir / "trace.csv")
         base.mkdir(parents=True, exist_ok=True)
         (base / "table_report.txt").write_text(report.render())
     return report

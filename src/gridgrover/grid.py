@@ -15,10 +15,16 @@ delta per marked cell (the Grover reference's two lattices are the one
 tile, d = L).  Both answer the same reads: the norm, the marked
 amplitudes and the (L, L) grid; each applies the oracle and reflections to
 itself (``_oracle``, ``_reflect``).  ``_uniform_start`` picks a run's state.
+
+A stored grid is what the run's state needs to rebuild it: an (L, L) copy
+of a ``GridState``, a ``TileGrid`` (the coefficients, about 1/8 of the grid
+at d = 4) of a ``TileState``.  Either gives its grid through ``np.asarray``
+and its rows through ``stored[top:bottom]``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,6 +42,7 @@ __all__ = [
     "GridState",
     "MarkedSet",
     "NormDriftError",
+    "TileGrid",
     "TileState",
     "cell_index",
     "coord_of_index",
@@ -52,8 +59,8 @@ NORM_ATOL = 1e-9
 # from L2 right after it is written.  Set by interleaved round timings at d = 4 (Xeon VM, 2 MiB
 # of L2 per core): at L = 1024 one block beat 2^15- and 2^16-number blocks by about 5%; at
 # L = 2048 ... 8192 those two tied and 2^13-number blocks were over 20% slower.  GridState's
-# tile reflection and TileState.as_grid use the same blocks, so no kernel allocates a grid-sized
-# temporary.
+# tile reflection and the tile grid builder (TileState.as_grid, TileGrid) use the same blocks,
+# so no kernel allocates a grid-sized temporary.
 TILE_ONE_BLOCK = 2**17
 TILE_BLOCK = 2**15
 # Cells per band of a group reflection: a partition's period block is the most whole periods of
@@ -212,8 +219,12 @@ class GridState:
 
     def as_grid(self) -> np.ndarray:
         """(L, L) amplitudes, a fresh copy."""
+        return self._stored_grid(final=False)
+
+    def _stored_grid(self, final: bool) -> np.ndarray:
         side = self.geometry.side
-        return self.amplitudes.reshape(side, side).copy()
+        grid = self.amplitudes.reshape(side, side)
+        return grid if final else grid.copy()
 
     def _oracle(self, marked: MarkedSet) -> None:
         self.amplitudes[marked.indices(self.geometry)] *= -1.0
@@ -450,23 +461,10 @@ class TileState:
 
     def as_grid(self) -> np.ndarray:
         """(L, L) amplitudes, materialized afresh, in row blocks of about ``TILE_BLOCK`` cells."""
-        side, d = self.geometry.side, self.tile_side
-        lines = np.arange(side)
-        (ar, ac), (br, bc) = (((lines - o) % side // d for o in origin) for origin in self.origins)
-        (sa, sb), (a, b) = self.signs, self.coefficients
-        # The signs are +-1: negating, or subtracting, gives the bits of multiplying by them.
-        combine = np.add if sb > 0 else np.subtract
-        grid = np.empty((side, side))
-        step = max(1, TILE_BLOCK // side)
-        for lo in range(0, side, step):
-            block = grid[lo:lo + step]
-            # Every line maps into the lattice, so "clip" only skips the bounds check.
-            np.take(a.take(ar[lo:lo + step], 0), ac, 1, out=block, mode="clip")
-            if sa < 0:
-                np.negative(block, out=block)
-            combine(block, b.take(br[lo:lo + step] + 1, 0).take(bc + 1, 1), out=block)
-        grid.reshape(-1)[self.marked.indices(self.geometry)] += self.deltas
-        return grid
+        return TileGrid(self, copy=False)[:]
+
+    def _stored_grid(self, final: bool) -> "TileGrid":
+        return TileGrid(self, copy=not final)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -478,6 +476,75 @@ class TileState:
         values = self.as_grid().reshape(-1)
         values.flags.writeable = False
         return values
+
+
+class TileGrid:
+    """A ``TileState``'s (L, L) grid at one round, stored as what rebuilds it.
+
+    A frozen copy of the state's coefficient stack, two signs and K deltas:
+    8 (2 (m + 1)^2 + K + 2) bytes, m = L/d, against 8 L^2 for the grid (about
+    1/8 at d = 4).  ``np.asarray(stored)`` builds the grid, bit for bit the
+    state's ``as_grid()`` at that round; ``stored[top:bottom]`` builds rows
+    top .. bottom - 1 only, so a writer that reads row blocks never holds the
+    grid.  With ``copy=False`` it keeps the state's own arrays, for a state
+    that no step changes again.
+    """
+
+    def __init__(self, state: TileState, copy: bool = True):
+        self.geometry, self.marked = state.geometry, state.marked
+        self.tile_side, self.origins = state.tile_side, state.origins
+        stack, self.signs, self.deltas = state._flat, state.signs, state.deltas
+        if copy:
+            stack, self.signs, self.deltas = stack.copy(), self.signs.copy(), self.deltas.copy()
+        self.coefficients = tuple(stack.reshape(2, *state.coefficients[0].shape))
+
+    @property
+    def shape(self) -> "tuple[int, int]":
+        return (self.geometry.side, self.geometry.side)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """The grid rows that ``rows``, a slice of step 1, selects, built afresh in blocks of
+        about ``TILE_BLOCK`` cells."""
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise IndexError("a stored tile grid reads row slices of step 1; "
+                             "np.asarray gives the whole grid")
+        side, d = self.geometry.side, self.tile_side
+        top, bottom, _ = rows.indices(side)
+        # Tile lines of rows top .. bottom - 1 and of every column; B's coefficients sit one line
+        # past its tile index (the spare line leads).
+        lines = functools.partial(_tile_lines, side, d)
+        (ar, ac), (br, bc) = ((lines(o_r, k)[top:bottom], lines(o_c, k))
+                              for k, (o_r, o_c) in enumerate(self.origins))
+        (sa, sb), (a, b) = self.signs, self.coefficients
+        # The signs are +-1: negating, or subtracting, gives the bits of multiplying by them.
+        combine = np.add if sb > 0 else np.subtract
+        grid = np.empty((len(ar), side))
+        step = max(1, TILE_BLOCK // side)
+        for lo in range(0, len(ar), step):
+            block = grid[lo:lo + step]
+            # Every line maps into the lattice, so "clip" only skips the bounds check.
+            np.take(a.take(ar[lo:lo + step], 0), ac, 1, out=block, mode="clip")
+            if sa < 0:
+                np.negative(block, out=block)
+            combine(block, b.take(br[lo:lo + step], 0).take(bc, 1), out=block)
+        cells = self.marked.indices(self.geometry) - top * side
+        inside = (cells >= 0) & (cells < grid.size)
+        grid.reshape(-1)[cells[inside]] += self.deltas[inside]
+        return grid
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # Every call builds a new array, so ``copy`` asks for nothing more.
+        grid = self[:]
+        return grid if dtype is None else grid.astype(dtype, copy=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _tile_lines(side: int, d: int, origin: int, lead: int) -> np.ndarray:
+    """Read-only: per line of one axis, the index of its tile in a lattice of side d whose tiles
+    start at ``origin``, plus ``lead``.  Cached, as a writer reads a grid's rows block by block."""
+    lines = (np.arange(side) - origin) % side // d + lead
+    lines.flags.writeable = False
+    return lines
 
 
 def _tile_block_rows(m: int) -> int:
@@ -497,6 +564,14 @@ def _state_bytes(side: int, tile_side: "int | None") -> int:
         return 8 * side * side
     m = side // tile_side
     return 8 * (2 * (m + 1) ** 2 + _tile_scratch_size(m))
+
+
+def _stored_bytes(side: int, tile_side: "int | None", marked_count: int) -> int:
+    """Bytes of one grid a run stores: (L, L) for a ``GridState``, a ``TileGrid``'s
+    8 (2 (m + 1)^2 + K + 2) for a ``TileState`` (``tile_side`` d) with K marked cells."""
+    if tile_side is None:
+        return 8 * side * side
+    return 8 * (2 * (side // tile_side + 1) ** 2 + marked_count + 2)
 
 
 def uniform_state(geometry: GridGeometry) -> GridState:

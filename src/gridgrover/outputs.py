@@ -32,7 +32,8 @@ def emit_trace_csv(trace, path: "str | Path") -> Path:
     """Write ``iteration,marked_probability,marked_amplitude,nominal_steps``.
 
     One row per completed round, numbered from 1; 17 significant digits
-    round-trip any float64.
+    round-trip any float64.  ``trace`` needs only the ``probabilities`` and
+    ``cumulative_steps`` columns of a ``SimulationTrace``.
     """
     probabilities = np.asarray(trace.probabilities, dtype=np.float64)
     rows = zip(range(1, probabilities.size + 1), probabilities.tolist(),
@@ -97,9 +98,12 @@ def _emit_cell_csv(shape: "tuple[int, int]", rows_of, header: str, value_fmt: st
     return path
 
 
-def emit_snapshot_csv(grid: np.ndarray, path: "str | Path") -> Path:
-    """Write one ``i,j,amplitude`` row per cell, row-major."""
-    grid = np.asarray(grid)
+def emit_snapshot_csv(grid, path: "str | Path") -> Path:
+    """Write one ``i,j,amplitude`` row per cell, row-major.
+
+    ``grid`` is a 2-d array or a stored grid (``simulator.snapshot``); it is
+    read a block of rows at a time, so a stored tile grid is never built whole.
+    """
     return _emit_cell_csv(grid.shape, lambda top, bottom: grid[top:bottom],
                           "i,j,amplitude", "%.17g", path)
 
@@ -159,16 +163,17 @@ def _pixel_block(rows: int, cols: int, scale: int) -> "tuple[int, int, int, int]
     return (max(1, min(rows, CELL_BLOCK // max(cols, 1))), scale, cols * scale, 3)
 
 
-def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
+def emit_heatmap(grid, path: "str | Path", scale: int = 1) -> Path:
     """Render an amplitude grid to a binary portable pixmap (P6), ``scale`` pixels per cell side.
 
-    The raster is binned and written in blocks of whole grid rows, about
-    ``CELL_BLOCK`` cells and ``CELL_BLOCK * scale**2`` pixels each, through one
-    reused pixel buffer, so the writer holds one block, never the raster.
-    A grid with a NaN raises ``ValueError`` before the file is opened.
+    ``grid`` is a 2-d array or a stored grid (``simulator.snapshot``).  It is
+    read, binned and written in blocks of whole grid rows, about ``CELL_BLOCK``
+    cells and ``CELL_BLOCK * scale**2`` pixels each, through one reused pixel
+    buffer, so the writer holds one block, never the raster or a whole stored
+    tile grid.  A grid with a NaN raises ``ValueError`` before the file is
+    opened: a first pass over the blocks counts the NaNs.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
+    if len(grid.shape) != 2:
         raise ValueError(f"expected a 2-d amplitude grid, got shape {grid.shape}")
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
@@ -176,10 +181,11 @@ def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
     block = _pixel_block(rows, cols, scale)
     block_rows = block[0]
     tops = range(0, rows, block_rows)
-    # A sum is NaN if a term is (or +inf meets -inf); only then count the NaNs, block by block.
-    with np.errstate(invalid="ignore"):
-        if np.isnan(grid.sum()):
-            _refuse_nan(sum(np.count_nonzero(np.isnan(grid[top:top + block_rows])) for top in tops))
+
+    def amplitudes(top: int) -> np.ndarray:
+        return np.asarray(grid[top:top + block_rows], dtype=np.float64)
+
+    _refuse_nan(sum(np.count_nonzero(np.isnan(amplitudes(top))) for top in tops))
     colors = np.array(DEFAULT_HEATMAP_COLORS, dtype=np.uint8)
     # One block of pixel rows: each cell row's pixels, then scale - 1 copies of them.
     pixels = np.empty(block, dtype=np.uint8)
@@ -187,7 +193,7 @@ def emit_heatmap(grid: np.ndarray, path: "str | Path", scale: int = 1) -> Path:
     with path.open("wb") as handle:
         handle.write(f"P6\n{cols * scale} {rows * scale}\n255\n".encode("ascii"))
         for top in tops:
-            bins = _bins(grid[top:top + block_rows])
+            bins = _bins(amplitudes(top))
             if scale > 1:
                 bins = np.repeat(bins, scale, axis=1)
             out = pixels[:len(bins)]

@@ -38,10 +38,12 @@ from .grid import (
     GridGeometry,
     GridState,
     MarkedSet,
+    TileGrid,
     TileState,
     _is_tile_pair,
     _side_of,
     _state_bytes,
+    _stored_bytes,
     _uniform_start,
     coord_of_index,
     marked_probability,
@@ -104,18 +106,23 @@ def _memory_problem(side: int, tile_side: "int | None", horizon: int, stride: in
                     marked_count: int, write_bytes: int = 0) -> "str | None":
     """Why what a run on an L = ``side`` grid holds at its peak exceeds physical memory, or None.
 
-    Its state (``grid._state_bytes``), floor(horizon / stride) stored (L, L) grids and the trace
-    ``_iterate`` allocates, horizon x (K + 5) numbers for K marked cells.  The writers run once
-    the state is freed, so their largest block, ``write_bytes``, counts where it exceeds the state.
+    Its floor(horizon / stride) stored grids (``grid._stored_bytes`` each), the trace ``_iterate``
+    allocates, horizon x (K + 2) numbers for K marked cells, and its state (``grid._state_bytes``)
+    less the last stored grid where that is the state's own buffer (the stride divides the
+    horizon).  The writers run once the state is freed, so their largest block, ``write_bytes``,
+    counts where it exceeds that state.
     """
-    memory, state = _physical_memory(), _state_bytes(side, tile_side)
-    grids = horizon // stride if stride > 0 else 0
-    stored, trace = grids * side * side * 8, horizon * (marked_count + 5) * 8
+    memory, grids = _physical_memory(), horizon // stride if stride > 0 else 0
+    grid_bytes = _stored_bytes(side, tile_side, marked_count)
+    handed = grids and horizon % stride == 0  # the last stored grid is the state's own buffers
+    stored, trace = grids * grid_bytes, horizon * (marked_count + 2) * 8
+    state = _state_bytes(side, tile_side) - (grid_bytes if handed else 0)
     total = stored + trace + max(state, write_bytes)
     if memory is None or total <= memory:
         return None
-    held = (f"the larger of its {state:,} B state and a {write_bytes:,} B heatmap block"
-            if write_bytes else f"its {state:,} B state")
+    state_text = f"{state:,} B state" + (" past its last stored grid" if handed else "")
+    held = (f"the larger of its {state_text} and a {write_bytes:,} B heatmap block"
+            if write_bytes else f"its {state_text}")
     return (f"a run on the {side} x {side} grid holds {total:,} B: {held}, {grids:,} stored grids "
             f"of {stored:,} B and {trace:,} B of trace over {horizon:,} rounds, more than the "
             f"{memory:,} B of physical memory")
@@ -204,7 +211,8 @@ class SimulationTrace:
 
     ``probabilities[k-1]`` is the probability after round k; the probability
     of the untouched initial state is ``initial_probability``.  Snapshots map
-    iteration -> (L, L) amplitude copy.  ``per_cell_probabilities`` columns
+    iteration -> stored grid (see ``snapshot``): ``np.asarray`` of one is the
+    (L, L) amplitudes after that round.  ``per_cell_probabilities`` columns
     follow ``marked_cells`` order.  ``max_norm_drift`` is the largest
     |norm^2 - 1| the per-round norm check saw.
     """
@@ -215,7 +223,7 @@ class SimulationTrace:
     probabilities: np.ndarray
     per_cell_probabilities: np.ndarray
     cumulative_steps: np.ndarray
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+    snapshots: "dict[int, np.ndarray | TileGrid]" = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     max_norm_drift: float = 0.0
 
@@ -225,9 +233,16 @@ class SimulationTrace:
         return analysis.peak(self.probabilities)
 
 
-def snapshot(state: "GridState | TileState") -> np.ndarray:
-    """Row-major (L, L) copy of the amplitudes; never aliases the run."""
-    return state.as_grid()
+def snapshot(state: "GridState | TileState", final: bool = False) -> "np.ndarray | TileGrid":
+    """The state's grid at this round, stored as what rebuilds it.
+
+    A ``GridState``'s is a row-major (L, L) copy of the amplitudes, a
+    ``TileState``'s a ``TileGrid`` of its tile coefficients; ``np.asarray``
+    of either is the (L, L) grid and ``stored[top:bottom]`` its rows.  It
+    never aliases the run, unless ``final``: then it keeps the state's own
+    buffers, for a state that no step changes again (a run's last round).
+    """
+    return state._stored_grid(final)
 
 
 def _iterate(
@@ -248,7 +263,7 @@ def _iterate(
     geometry = state.geometry
     marked_cells = marked.normalized(geometry)
     per_cell = np.empty((iterations, len(marked_cells)))
-    snapshots: dict[int, np.ndarray] = {}
+    snapshots: "dict[int, np.ndarray | TileGrid]" = {}
     initial = min(marked_probability(state, marked), 1.0)
     max_drift = 0.0
 
@@ -259,18 +274,23 @@ def _iterate(
         picked = state.marked_amplitudes(marked)
         per_cell[iteration - 1] = picked * picked
         if stride and iteration % stride == 0:
-            snapshots[iteration] = snapshot(state)
+            # The state is dropped after the last round, so that grid keeps its buffers.
+            snapshots[iteration] = snapshot(state, final=iteration == iterations)
 
-    # The norm check bounds every Born sum by 1 + 1e-9; clip the last-ulp excess.
-    probabilities = np.minimum(per_cell.sum(axis=1), 1.0)
-    rounds = np.arange(1, iterations + 1, dtype=np.int64)
+    # Two columns besides per_cell, filled in place.  The norm check bounds every Born sum by
+    # 1 + 1e-9; clip the last-ulp excess.
+    probabilities = np.sum(per_cell, axis=1, out=np.empty(iterations))
+    np.minimum(probabilities, 1.0, out=probabilities)
+    cumulative_steps = np.arange(1, iterations + 1, dtype=np.int64)
+    cumulative_steps *= per_round.nominal_steps
+    cumulative_steps += initial_steps
     return SimulationTrace(
         geometry=geometry,
         marked_cells=marked_cells,
         initial_probability=initial,
         probabilities=probabilities,
         per_cell_probabilities=per_cell,
-        cumulative_steps=initial_steps + per_round.nominal_steps * rounds,
+        cumulative_steps=cumulative_steps,
         snapshots=snapshots,
         counters=CostCounters(
             oracle_calls=per_round.oracle_calls * iterations,

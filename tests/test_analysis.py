@@ -109,7 +109,7 @@ def test_pyramid_forms_around_the_marked_cell():
     # probability than the marked cell alone
     trace = run(RunConfig(GridGeometry(20), snapshot_stride=1))
     crest = first_crest(trace)
-    grid = trace.snapshots[crest.iteration]
+    grid = np.asarray(trace.snapshots[crest.iteration])
     row, col = trace.marked_cells[0]
     window = np.roll(grid, (4 - row, 4 - col), axis=(0, 1))[:9, :9]
     assert window[4, 4] == grid[row, col]

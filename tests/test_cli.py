@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridgrover import NormDriftError, experiments, read_trace_csv, table_report
+from gridgrover import (GridGeometry, NormDriftError, RunConfig, experiments, read_trace_csv, run,
+                        table_report)
 from gridgrover.cli import main
 
 
@@ -190,9 +193,38 @@ def test_table_without_a_crest_in_the_horizon_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table_keeps_two_columns_a_row_until_it_writes(monkeypatch):
+    # Every row runs before any file is written; until then a row may keep only the
+    # probability and step columns its trace.csv reads, 2 numbers a round, not its trace.
+    # The runs are copies of one 20 000-round trace (n = 16 crests within it), so tracemalloc
+    # times the table's bookkeeping, not 20 000 traced rounds a row.
+    rounds = 20_000
+    template = run(RunConfig(GridGeometry(4), max_iterations=rounds))
+
+    def copied_run(config):
+        return dataclasses.replace(
+            template, probabilities=template.probabilities.copy(),
+            per_cell_probabilities=template.per_cell_probabilities.copy(),
+            cumulative_steps=template.cumulative_steps.copy())
+
+    monkeypatch.setattr(experiments, "run", copied_run)
+    peaks = []
+    for count in (2, 4, 6):
+        tracemalloc.start()
+        try:
+            report = table_report(sizes=experiments.TABLE_SIZES[:count], max_iterations=rounds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 2 * count
+    # Two more sizes are four more rows, each 2 x 8 bytes a round plus its array headers.
+    for fewer, more in zip(peaks, peaks[1:]):
+        assert 4 * 2 * 8 * rounds <= more - fewer <= 4 * (2 * 8 * rounds + 2**10)
+
+
 @pytest.mark.parametrize("command", ["table", "grover"])
 def test_a_horizon_whose_trace_cannot_fit_exits_nonzero(tmp_path, capsys, monkeypatch, command):
-    # 10^12 rounds of trace take 48 TB: refused with one line, not a traceback from np.empty.
+    # 10^12 rounds of trace take 24 TB: refused with one line, not a traceback from np.empty.
     from gridgrover import simulator
 
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
@@ -200,11 +232,11 @@ def test_a_horizon_whose_trace_cannot_fit_exits_nonzero(tmp_path, capsys, monkey
     flags = ["--config", str(write_config(tmp_path, "L = 8\n"))] if command == "grover" else []
     assert main([command, *flags, "--out", str(out), "--max-iters", "1000000000000"]) == 1
     captured = capsys.readouterr()
-    assert ("48,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the "
+    assert ("24,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the "
             "8,589,934,592 B of physical memory") in captured.err
     assert captured.out == "" and "Traceback" not in captured.err and not out.exists()
     if command == "table":
-        assert captured.err.startswith("error: a run on the 4 x 4 grid holds 48,000,000,000,152 B")
+        assert captured.err.startswith("error: a run on the 4 x 4 grid holds 24,000,000,000,152 B")
         assert len(captured.err.splitlines()) == 1
 
 
@@ -218,7 +250,8 @@ def test_a_heatmap_block_that_cannot_fit_exits_before_any_file(tmp_path, capsys,
                                  "heatmap_scale = 100000\nmax_iters = 8\n")
     out = tmp_path / "results"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "its 272 B state and a 1,920,000,000,000 B heatmap block" in capsys.readouterr().err
+    assert ("its 104 B state past its last stored grid and a 1,920,000,000,000 B heatmap block"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

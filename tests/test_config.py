@@ -174,22 +174,22 @@ def test_a_sweep_holds_one_point_at_a_time(tmp_path):
 
 
 def test_every_point_state_must_fit_in_physical_memory(monkeypatch):
-    # Each point holds its state and a 160-round trace of 1 + 5 numbers a round, 7680 bytes.  At
+    # Each point holds its state and a 160-round trace of 1 + 2 numbers a round, 3840 bytes.  At
     # L = 40 the cross point's GridState takes 12 800 bytes and the square point's tile state
-    # 2960, so a 20 479-byte memory refuses the cross point alone.
+    # 2960, so a 16 639-byte memory refuses the cross point alone.
     from gridgrover import simulator
 
     text = "L = 40\nsweep_tessellation = square, cross\n"
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20480)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16640)
     assert len(list(parse_config(text).sweep_points())) == 2
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20479)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16639)
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert err.value.violations == ("a run on the 40 x 40 grid holds 20,480 B: its 12,800 B "
-                                    "state, 0 stored grids of 0 B and 7,680 B of trace over 160 "
-                                    "rounds, more than the 20,479 B of physical memory",)
+    assert err.value.violations == ("a run on the 40 x 40 grid holds 16,640 B: its 12,800 B "
+                                    "state, 0 stored grids of 0 B and 3,840 B of trace over 160 "
+                                    "rounds, more than the 16,639 B of physical memory",)
     # Square tiles under square or shifted-square ones of the same d are a tile pair.
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 10640)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6800)
     for text in ("L = 40\n", "L = 40\ndispersion = square\n"):
         ((_label, point),) = parse_config(text).sweep_points()
         assert point.local_partition.tile_side == point.dispersion_partition.tile_side == 4
@@ -197,47 +197,49 @@ def test_every_point_state_must_fit_in_physical_memory(monkeypatch):
                  "L = 40\nd = 2\nsweep_d = 2, 4\n"):
         with pytest.raises(ConfigError, match="40 x 40 grid holds"):
             parse_config(text)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 10639)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 6799)
     with pytest.raises(ConfigError, match="its 2,960 B state"):
         parse_config("L = 40\n")
 
 
 def test_the_memory_rule_sums_the_state_stored_grids_and_trace(monkeypatch):
-    # An L = 40 cross point holding one stored grid: 12 800 bytes of state, 12 800 of grid and
-    # 7680 of trace.  Each part alone fits in 20 000 bytes; together they need 33 280.
+    # An L = 40 cross point holding one stored grid from round 100 of 160: 12 800 bytes of
+    # state, 12 800 of grid and 3840 of trace.  Each part alone fits in 20 000 bytes; together
+    # they need 29 440.
     from gridgrover import simulator
 
-    text = "L = 40\ntessellation = cross\nsnapshot_stride = 160\nemit_snapshots = true\n"
-    message = ("a run on the 40 x 40 grid holds 33,280 B: its 12,800 B state, 1 stored grids of "
-               "12,800 B and 7,680 B of trace over 160 rounds, more than the 20,000 B of physical "
+    text = "L = 40\ntessellation = cross\nsnapshot_stride = 100\nemit_snapshots = true\n"
+    message = ("a run on the 40 x 40 grid holds 29,440 B: its 12,800 B state, 1 stored grids of "
+               "12,800 B and 3,840 B of trace over 160 rounds, more than the 20,000 B of physical "
                "memory")
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 20000)
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.violations == (message,)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33280)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 29440)
     assert len(list(parse_config(text).sweep_points())) == 1
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33279)
-    with pytest.raises(ConfigError, match="holds 33,280 B"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 29439)
+    with pytest.raises(ConfigError, match="holds 29,440 B"):
         parse_config(text)
 
 
 def test_a_horizon_whose_trace_cannot_fit_is_refused_at_parse(monkeypatch):
-    # 10^12 rounds of trace take 48 TB, whatever the grid.
+    # 10^12 rounds of trace take 24 TB, whatever the grid.
     from gridgrover import simulator
 
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
     with pytest.raises(ConfigError) as err:
         parse_config("L = 4\nmax_iters = 1000000000000\n")
-    assert err.value.violations == ("a run on the 4 x 4 grid holds 48,000,000,000,152 B: its 152 "
-                                    "B state, 0 stored grids of 0 B and 48,000,000,000,000 B of "
+    assert err.value.violations == ("a run on the 4 x 4 grid holds 24,000,000,000,152 B: its 152 "
+                                    "B state, 0 stored grids of 0 B and 24,000,000,000,000 B of "
                                     "trace over 1,000,000,000,000 rounds, more than the "
                                     "8,589,934,592 B of physical memory",)
 
 
 def test_the_heatmap_block_counts_in_place_of_a_smaller_state(monkeypatch):
     # At scale 100 000 the one 8-row pixel block of an 8 x 8 grid is 8 x 10^5 x 8 x 10^5 x 3
-    # bytes, 1.7 TiB, far more than the 272-byte state it replaces at write time.
+    # bytes, 1.7 TiB, far more than the state it replaces at write time: the 272-byte tile
+    # state less its last stored grid (two 3 x 3 lattices, a delta and two signs, 168 bytes).
     from gridgrover import simulator
 
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
@@ -245,18 +247,25 @@ def test_the_heatmap_block_counts_in_place_of_a_smaller_state(monkeypatch):
             "heatmap_scale = {}\n")
     with pytest.raises(ConfigError) as err:
         parse_config(text.format(100000))
-    assert err.value.violations == ("a run on the 8 x 8 grid holds 1,920,000,001,408 B: the "
-                                    "larger of its 272 B state and a 1,920,000,000,000 B heatmap "
-                                    "block, 2 stored grids of 1,024 B and 384 B of trace over 8 "
-                                    "rounds, more than the 8,589,934,592 B of physical memory",)
-    # 1024 B of grids and 384 of trace, then the state (272 B) or a 192 B block at scale 1.
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1680)
+    assert err.value.violations == ("a run on the 8 x 8 grid holds 1,920,000,000,528 B: the "
+                                    "larger of its 104 B state past its last stored grid and a "
+                                    "1,920,000,000,000 B heatmap block, 2 stored grids of 336 B "
+                                    "and 192 B of trace over 8 rounds, more than the "
+                                    "8,589,934,592 B of physical memory",)
+    # 336 B of grids and 192 of trace, then the rest of the state (104 B) or, in its place, a
+    # 192 B block at scale 1.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 720)
     assert parse_config(text.format(1)).heatmap_scale == 1
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1679)
-    with pytest.raises(ConfigError, match="its 272 B state, 2 stored"):
-        parse_config(text.format(1).replace("emit_heatmaps", "emit_snapshots"))
-    with pytest.raises(ConfigError, match="the larger of its 272 B state and a 192 B heatmap"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 719)
+    with pytest.raises(ConfigError, match="the larger of its 104 B state past its last stored "
+                                          "grid and a 192 B heatmap"):
         parse_config(text.format(1))
+    snapshots = text.format(1).replace("emit_heatmaps", "emit_snapshots")
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 632)
+    assert parse_config(snapshots).snapshot_stride == 4
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 631)
+    with pytest.raises(ConfigError, match="its 104 B state past its last stored grid, 2 stored"):
+        parse_config(snapshots)
 
 
 def test_sweep_lists_and_expansion():
@@ -589,24 +598,28 @@ def test_parser_matches_the_previous_parser(text):
 
 
 def test_stored_grids_must_fit_on_every_swept_side(monkeypatch):
-    # At stride 8, L = 8 stores 4 grids of 512 B and L = 64 stores 32 grids of 32 KiB (1 MiB);
-    # L = 80 stores 40 grids of 50 KiB.  L = 64 also holds 12 288 bytes of trace over 256
-    # rounds and its 12 288-byte heatmap block, which outweighs its 6992-byte state.
+    # At stride 8 the default tile pair stores its two lattices, a delta and two signs: L = 8
+    # stores 4 grids of 168 B, L = 64 32 grids of 4648 B (148 736 B) and L = 80 40 grids of
+    # 7080 B.  L = 64 also holds 6144 bytes of trace over 256 rounds and its 12 288-byte heatmap
+    # block, which outweighs the 2344 bytes its 6992-byte state holds past the last grid.
     from gridgrover import simulator
 
     text = "L = 8\nsnapshot_stride = 8\nemit_heatmaps = true\n"
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20 + 2 * 12288)
+    fits = 32 * 4648 + 6144 + 12288
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: fits)
     assert len(list(parse_config(text + "sweep_n = 64, 4096\n").sweep_points())) == 2
     with pytest.raises(ConfigError) as err:
         parse_config(text + "sweep_n = 64, 6400, 4096\n")
-    assert err.value.violations == ("a run on the 80 x 80 grid holds 2,075,600 B: the larger of "
-                                    "its 10,640 B state and a 12,240 B heatmap block, 40 stored "
-                                    "grids of 2,048,000 B and 15,360 B of trace over 320 rounds, "
-                                    "more than the 1,073,152 B of physical memory",)
+    assert err.value.violations == ("a run on the 80 x 80 grid holds 303,120 B: the larger of "
+                                    "its 3,560 B state past its last stored grid and a 12,240 B "
+                                    "heatmap block, 40 stored grids of 283,200 B and 7,680 B of "
+                                    "trace over 320 rounds, more than the 167,168 B of physical "
+                                    "memory",)
     config = parse_config("L = 64\nsnapshot_stride = 8\nemit_snapshots = true\n")
-    with pytest.raises(ConfigError, match="64 stored grids of 2,097,152 B"):
+    with pytest.raises(ConfigError, match="64 stored grids of 297,472 B"):
         dataclasses.replace(config, snapshot_stride=4)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20 + 2 * 12288 - 1)
-    with pytest.raises(ConfigError, match="holds 1,073,152 B: the larger of its 6,992 B state and "
-                                          "a 12,288 B heatmap block, 32 stored grids of 1,048,576"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: fits - 1)
+    with pytest.raises(ConfigError, match="holds 167,168 B: the larger of its 2,344 B state past "
+                                          "its last stored grid and a 12,288 B heatmap block, 32 "
+                                          "stored grids of 148,736"):
         parse_config(text + "sweep_n = 64, 4096\n")

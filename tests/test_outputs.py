@@ -125,7 +125,8 @@ def _run_snapshot(config):
     """The last stored grid of a run, checked to repeat values as a run over two partitions does."""
     trace = run(config)
     grid = trace.snapshots[max(trace.snapshots)]
-    assert np.unique(grid.view(np.uint64)).size < grid.size / 2
+    values = np.asarray(grid)
+    assert np.unique(values.view(np.uint64)).size < values.size / 2
     return grid
 
 
@@ -159,7 +160,7 @@ def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
         "no_rows": np.zeros((0, 3)),
     }
     for name, values in grids.items():
-        reference_snapshot_csv(values, tmp_path / f"{name}_reference.csv")
+        reference_snapshot_csv(np.asarray(values), tmp_path / f"{name}_reference.csv")
         emit_snapshot_csv(values, tmp_path / f"{name}.csv")
         expected = (tmp_path / f"{name}_reference.csv").read_bytes()
         assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
@@ -179,6 +180,29 @@ def test_snapshot_csv_memory_stays_within_a_block(tmp_path):
             tracemalloc.stop()
         assert peak <= 2**20, emit.__name__
     assert "group_ids" not in partition.__dict__
+
+
+def test_writers_stream_a_stored_tile_grid(tmp_path):
+    # An L = 1024 tile run stores its grid as two 257 x 257 lattices (1 MiB), not the 8 MiB
+    # grid; the writers read it a block of rows at a time and never build the whole grid.
+    config = RunConfig(GridGeometry(1024), max_iterations=2, snapshot_stride=1)
+    trace = run(config)
+    for stored in trace.snapshots.values():  # a copy at round 1, the state's arrays at round 2
+        assert stored.shape == (1024, 1024) and not isinstance(stored, np.ndarray)
+        for emit in (emit_snapshot_csv, emit_heatmap):
+            tracemalloc.start()
+            try:
+                path = emit(stored, tmp_path / "grid.out")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, emit.__name__
+            if emit is emit_heatmap:
+                assert path.read_bytes() == reference_heatmap(np.asarray(stored), 1)
+            else:
+                reference_snapshot_csv(np.asarray(stored)[:3], tmp_path / "head.csv")
+                head = (tmp_path / "head.csv").read_bytes()
+                assert path.read_bytes()[:len(head)] == head
 
 
 def reference_partition_csv(partition, path):

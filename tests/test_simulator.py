@@ -13,6 +13,7 @@ from gridgrover import (
     NormDriftError,
     Partition,
     RunConfig,
+    TileGrid,
     TileState,
     apply_oracle,
     apply_partition_diffusion,
@@ -687,6 +688,7 @@ def test_tile_state_matches_grid_state_after_every_operator(config, sequence):
 
 
 def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
 
 
@@ -729,6 +731,105 @@ def test_tile_row_blocks_match_one_block(config, block):
         assert sorted(blocked.snapshots) == sorted(one_block.snapshots)
         for k, grid_values in one_block.snapshots.items():
             assert_bitwise_equal(blocked.snapshots[k], grid_values)
+
+
+def stored_and_grids(state, steps, rounds):
+    """The stored grid and a fresh ``as_grid()`` of ``state`` after each of ``rounds`` rounds."""
+    stored, grids = [], []
+    for _ in range(rounds):
+        for apply, operand in steps:
+            apply(state, operand)
+        stored.append(snapshot(state))
+        grids.append(state.as_grid())
+    return stored, grids
+
+
+def assert_stored_grids_match(stored, grids, marked_count):
+    side = grids[0].shape[0]
+    for k, (kept, grid_values) in enumerate(zip(stored, grids)):
+        assert isinstance(kept, TileGrid) and kept.shape == grid_values.shape, k
+        # The coefficient stack, the deltas and the signs: 8 (2 (m + 1)^2 + K + 2) bytes.
+        m = side // kept.tile_side
+        held = sum(a.nbytes for a in (*kept.coefficients, kept.deltas, kept.signs))
+        assert held == 8 * (2 * (m + 1) ** 2 + marked_count + 2), k
+        assert_bitwise_equal(kept, grid_values)
+        for rows in (slice(None), slice(1, side - 1), slice(side // 2, None), slice(-3, None),
+                     slice(2, 3), slice(5, 2), slice(0, 5 * side)):
+            assert_bitwise_equal(kept[rows], grid_values[rows])
+
+
+@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("order", ["ltr", "rtl"])
+@pytest.mark.parametrize("side,d,local_shift,dispersion_shift,cells", [
+    (12, 2, (0, 0), (1, 1), [(5, 6), (11, 0)]),
+    (12, 3, (1, 2), (2, 0), [(5, 6), (0, 0), (7, 11)]),
+    (24, 4, (0, 0), (2, 2), [(13, 13), (1, 2)]),
+    (24, 4, (3, 1), (0, 2), [(13, 13), (23, 0)]),
+    (24, 6, (5, 0), (2, 5), [(4, 4), (4, 5), (20, 3)]),
+])
+def test_stored_tile_grids_are_the_grid_at_their_round(monkeypatch, block, order, side, d,
+                                                       local_shift, dispersion_shift, cells):
+    # The stored grid of each round, and every row slice of it, must hold the bits of as_grid()
+    # at that round after later rounds change the state, in run() too, whose last grid keeps
+    # the state's arrays.  block = 40 runs the windows and the grid builder in row blocks.
+    if block is not None:
+        monkeypatch.setattr(grid, "TILE_ONE_BLOCK", 0)
+        monkeypatch.setattr(grid, "TILE_BLOCK", block)
+    config = lattice_config(side, d, local_shift, dispersion_shift, cells, order=order, rounds=9)
+    steps = [operators_of(config)[step] for step in config.steps]
+    stored, grids = stored_and_grids(tile_state_of(config), steps, config.max_iterations)
+    assert_stored_grids_match(stored, grids, len(cells))
+    trace = run(config)
+    assert_stored_grids_match([trace.snapshots[k] for k in sorted(trace.snapshots)], grids,
+                              len(cells))
+
+
+def test_stored_grover_grids_are_the_grid_at_their_round():
+    # The one-tile state of the complete-graph reference: two 2 x 2 lattices a grid.
+    marked_indices = [5, 230, 399]
+    trace = run_grover_reference(400, 3, 12, marked_indices=marked_indices, snapshot_stride=1)
+    marked = MarkedSet.of(*(divmod(i, 20) for i in marked_indices))
+    tile = square_partition(GridGeometry(20), 20)
+    steps = [(TileState._oracle, marked), (TileState._reflect, tile)]
+    stored, grids = stored_and_grids(TileState(marked, tile, tile), steps, 12)
+    assert_stored_grids_match(stored, grids, 3)
+    assert_stored_grids_match([trace.snapshots[k] for k in range(1, 13)], grids, 3)
+
+
+def test_a_grid_state_run_keeps_its_last_grid_in_its_state():
+    # At L = 400 a GridState is a 1.22 MiB grid.  A stride that divides the horizon stores its
+    # last grid as the state's own buffer, which the run then drops: storing rounds 2 and 4 of
+    # 4 peaks one grid lower than storing rounds 2 and 4 of 5.
+    g = GridGeometry(400)
+    peaks = {}
+    for rounds in (4, 5):
+        config = RunConfig(g, local_partition=cross_partition(g), max_iterations=rounds,
+                           snapshot_stride=2)
+        run(config)  # builds the partitions' period blocks
+        tracemalloc.start()
+        try:
+            trace = run(config)
+            peaks[rounds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(trace.snapshots) == [2, 4]
+    grid_bytes = 8 * g.cell_count
+    assert 0.9 * grid_bytes <= peaks[5] - peaks[4] <= 1.1 * grid_bytes
+    assert peaks[4] <= 2.75 * grid_bytes
+
+
+def test_a_tile_run_storing_ten_grids_holds_their_coefficients():
+    # At L = 1024 and d = 4 a stored grid is two 257 x 257 lattices, 1.01 MiB, not the 8 MiB
+    # grid: ten of them and the 1.5 MiB state peak within 12 MiB.
+    config = RunConfig(GridGeometry(1024), max_iterations=10, snapshot_stride=1)
+    tracemalloc.start()
+    try:
+        trace = run(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.snapshots) == 10
+    assert 10 * 8 * 2 * 257**2 <= held <= peak <= 12 * 2**20
 
 
 def test_tile_windows_block_only_past_l2():
@@ -778,25 +879,31 @@ def test_tile_state_matches_grid_state_on_long_runs(side, rounds):
 
 
 def test_stored_grids_must_fit_in_physical_memory(monkeypatch):
-    # 256 rounds at stride 1 store 256 grids of 64 x 64 cells, 8 MiB, beside 256 x (1 + 5)
-    # numbers of trace, 12 288 bytes, and the state: 6992 bytes for the default tile pair,
-    # 152 for the Grover reference's one tile.
-    g, grids, trace = GridGeometry(64), 8 * 2**20, 12288
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 6992)
+    # 256 rounds at stride 1 on the 64 x 64 grid store 256 grids beside 256 x (1 + 2) numbers of
+    # trace, 6144 bytes.  A default tile pair's grid is its two 17 x 17 lattices, one delta and
+    # two signs, 4648 bytes; its 6992-byte state (the lattices and an 18 x 17 + 7 scratch) holds
+    # the last one, so 2344 bytes count besides.  The Grover reference's grid is two 2 x 2
+    # lattices, 88 bytes, in a 152-byte state.
+    g, trace = GridGeometry(64), 6144
+    tiles = 256 * 4648 + trace + 6992 - 4648
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: tiles)
     assert RunConfig(g, max_iterations=256, snapshot_stride=1).snapshot_stride == 1
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 6991)
-    message = (r"^a run on the 64 x 64 grid holds 8,407,888 B: its 6,992 B state, 256 stored "
-               r"grids of 8,388,608 B and 12,288 B of trace over 256 rounds, more than the "
-               r"8,407,887 B of physical memory$")
+    # floor(256 / 3) = 85 grids of 4648 bytes fit; none of them is the state's.
+    assert RunConfig(g, max_iterations=256, snapshot_stride=3).snapshot_stride == 3
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: tiles - 1)
+    message = (r"^a run on the 64 x 64 grid holds 1,198,376 B: its 2,344 B state past its last "
+               r"stored grid, 256 stored grids of 1,189,888 B and 6,144 B of trace over 256 "
+               r"rounds, more than the 1,198,375 B of physical memory$")
     with pytest.raises(ValueError, match=message):
         RunConfig(g, max_iterations=256, snapshot_stride=1)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 152)
+    grover = 256 * 88 + trace + 152 - 88
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grover)
     assert run_grover_reference(4096, 1, 256, snapshot_stride=1).snapshots[256].shape == (64, 64)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: grids + trace + 151)
-    with pytest.raises(ValueError, match="its 152 B state, 256 stored grids of 8,388,608 B"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: grover - 1)
+    with pytest.raises(ValueError, match="holds 28,736 B: its 64 B state past its last stored "
+                                         "grid, 256 stored grids of 22,528 B"):
         run_grover_reference(4096, 1, 256, snapshot_stride=1)
-    # floor(256 / 3) = 85 grids fit; a run that stores none holds its state and its trace.
-    assert RunConfig(g, max_iterations=256, snapshot_stride=3).snapshot_stride == 3
+    # A run that stores no grid holds its state and its trace.
     monkeypatch.setattr(simulator, "_physical_memory", lambda: trace + 6992)
     assert RunConfig(g, max_iterations=256).snapshot_stride == 0
     # A platform without the sysconf names skips the check.
@@ -805,27 +912,35 @@ def test_stored_grids_must_fit_in_physical_memory(monkeypatch):
 
 
 def test_the_memory_rule_sums_the_state_stored_grids_and_trace(monkeypatch):
-    # An L = 40 cross run holding one stored grid: 12 800 bytes of state, 12 800 of grid and
-    # 7680 of trace.  Each part alone fits in 20 000 bytes; together they need 33 280.
+    # An L = 40 cross run holding one stored grid from round 100 of 160: 12 800 bytes of state,
+    # 12 800 of grid and 3840 of trace.  Each part alone fits in 20 000 bytes; together they
+    # need 29 440.  Stored at round 160, the grid is the state's own buffer: 16 640 bytes.
     g = GridGeometry(40)
-    run_config = dict(local_partition=cross_partition(g), snapshot_stride=160)
+    run_config = dict(local_partition=cross_partition(g), snapshot_stride=100)
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 20000)
-    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 33,280 B: its 12,800 B "
-                                         r"state, 1 stored grids of 12,800 B and 7,680 B of trace "
+    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 29,440 B: its 12,800 B "
+                                         r"state, 1 stored grids of 12,800 B and 3,840 B of trace "
                                          r"over 160 rounds, more than the 20,000 B of physical "
                                          r"memory$"):
         RunConfig(g, **run_config)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33280)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 29440)
+    assert RunConfig(g, **run_config).snapshot_stride == 100
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 29439)
+    with pytest.raises(ValueError, match="holds 29,440 B"):
+        RunConfig(g, **run_config)
+    run_config["snapshot_stride"] = 160
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16640)
     assert RunConfig(g, **run_config).snapshot_stride == 160
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 33279)
-    with pytest.raises(ValueError, match="holds 33,280 B"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16639)
+    with pytest.raises(ValueError, match="holds 16,640 B: its 0 B state past its last stored grid, "
+                                         "1 stored grids of 12,800 B"):
         RunConfig(g, **run_config)
 
 
 def test_a_horizon_whose_trace_cannot_fit_is_refused_before_it_runs(monkeypatch):
-    # 10^12 rounds of trace take 48 TB: refused before _iterate asks np.empty for them.
+    # 10^12 rounds of trace take 24 TB: refused before _iterate asks np.empty for them.
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**33)
-    message = "48,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the 8,589,"
+    message = "24,000,000,000,000 B of trace over 1,000,000,000,000 rounds, more than the 8,589,"
     with pytest.raises(ValueError, match=message):
         RunConfig(GridGeometry(4), max_iterations=10**12)
     with pytest.raises(ValueError, match=message):
@@ -834,19 +949,22 @@ def test_a_horizon_whose_trace_cannot_fit_is_refused_before_it_runs(monkeypatch)
 
 def test_a_run_peaks_within_the_memory_rule(monkeypatch):
     # The rule holds a 10 000-round Grover run at n = 16 to 152 bytes of state and 10 000 x
-    # (1 + 5) numbers of trace, 480 152 bytes; tracemalloc must see no more than that.
+    # (1 + 2) numbers of trace, 240 152 bytes.  _iterate fills its two round columns in place,
+    # so tracemalloc sees a peak within a few KiB of array and object headers of the trace
+    # held afterwards (five round columns peaked at 406 577 B over 241 953 B held).
     run_grover_reference(16, 1, 10)
     tracemalloc.start()
     try:
         trace = run_grover_reference(16, 1, 10_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert trace.probabilities.size == 10_000 and 8 * 10_000 * 2 < peak <= 480152
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 480152)
+    assert trace.probabilities.size == 10_000 and 8 * 10_000 * 3 < held <= 240152 + 4 * 2**10
+    assert peak <= held + 8 * 2**10
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 240152)
     assert run_grover_reference(16, 1, 10_000).probabilities.size == 10_000
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 480151)
-    with pytest.raises(ValueError, match="holds 480,152 B: its 152 B state"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 240151)
+    with pytest.raises(ValueError, match="holds 240,152 B: its 152 B state"):
         run_grover_reference(16, 1, 10_000)
 
 
@@ -871,21 +989,21 @@ def test_physical_memory_reads_sysconf(monkeypatch):
 
 
 def test_state_must_fit_in_physical_memory(monkeypatch):
-    # A GridState is 8n bytes: 12 800 at L = 40, beside 160 x (1 + 5) numbers of trace, 7680
+    # A GridState is 8n bytes: 12 800 at L = 40, beside 160 x (1 + 2) numbers of trace, 3840
     # bytes.  The default tile pair at L = 64 holds two 17 x 17 lattices and a scratch of 18
-    # rows of 17 numbers plus 7, 6992 bytes, beside 256 rounds of trace, 12 288 bytes.
+    # rows of 17 numbers plus 7, 6992 bytes, beside 256 rounds of trace, 6144 bytes.
     g, tiles = GridGeometry(40), GridGeometry(64)
     crosses = dict(local_partition=cross_partition(g))
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20480)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16640)
     assert RunConfig(g, **crosses).max_iterations == 160
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 20479)
-    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 20,480 B: its 12,800 B "
-                                         r"state, 0 stored grids of 0 B and 7,680 B of trace over "
-                                         r"160 rounds, more than the 20,479 B of physical memory$"):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 16639)
+    with pytest.raises(ValueError, match=r"^a run on the 40 x 40 grid holds 16,640 B: its 12,800 B "
+                                         r"state, 0 stored grids of 0 B and 3,840 B of trace over "
+                                         r"160 rounds, more than the 16,639 B of physical memory$"):
         RunConfig(g, **crosses)
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 19280)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 13136)
     assert RunConfig(tiles).max_iterations == 256
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 19279)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 13135)
     with pytest.raises(ValueError, match="64 x 64 grid holds"):
         RunConfig(tiles)
     # The tile state's bytes are what it allocates.
