@@ -20,6 +20,7 @@ recorded here as 16384 since the series is powers of 4.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from .config import ExperimentConfig
 from .outputs import emit_heatmap, emit_partition_csv, emit_snapshot_csv, emit_trace_csv
 from .grid import GridGeometry, _side_of
 from .simulator import RunConfig, SimulationTrace, run
+from .tessellation import KIND_CUSTOM, Partition
 
 __all__ = [
     "ExperimentReport",
@@ -115,10 +117,9 @@ class ExperimentReport:
 
 
 def write_point_artifacts(
-    config: ExperimentConfig, trace: SimulationTrace, point_dir: Path,
-    run_config: "RunConfig | None" = None, prefix: str = "",
+    config: ExperimentConfig, trace: SimulationTrace, point_dir: Path, prefix: str = "",
 ) -> None:
-    """Write the files the emit flags ask for; partition CSVs need the ``run_config``."""
+    """Write the trace, snapshot and heatmap files the emit flags ask for."""
     point_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_trace:
         emit_trace_csv(trace, point_dir / f"{prefix}trace.csv")
@@ -129,17 +130,35 @@ def write_point_artifacts(
         for iteration, grid in sorted(trace.snapshots.items()):
             path = point_dir / f"{prefix}heatmap_iter{iteration:05d}.ppm"
             emit_heatmap(grid, path, config.heatmap_scale)
-    if config.emit_partition and run_config is not None:
-        emit_partition_csv(run_config.local_partition, point_dir / "partition_local.csv")
-        emit_partition_csv(
-            run_config.dispersion_partition, point_dir / "partition_dispersion.csv"
-        )
+
+
+def _partition_key(partition: Partition):
+    """What fixes a partition's map: (side, kind, d, tile_shift), or a custom partition itself."""
+    if partition.kind == KIND_CUSTOM:
+        return partition
+    return partition.geometry.side, partition.kind, partition.d, partition.tile_shift
+
+
+def _write_partitions(run_config: RunConfig, point_dir: Path, written: dict) -> None:
+    """Write a point's two partition CSVs, copying the file of a partition in ``written``
+    (``_partition_key`` -> path) and adding each one written."""
+    for role in ("local", "dispersion"):
+        partition = getattr(run_config, f"{role}_partition")
+        path, key = point_dir / f"partition_{role}.csv", _partition_key(partition)
+        if key in written:
+            shutil.copyfile(written[key], path)
+        else:
+            written[key] = emit_partition_csv(partition, path)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every sweep point; write artifacts under ``config.out_dir``; keep each point's summary."""
+    """Run every sweep point; write artifacts under ``config.out_dir``; keep each point's summary.
+
+    A sweep writes each distinct partition CSV once; a later point copies the first file.
+    """
     base = Path(config.out_dir) if config.out_dir is not None else None
     report = ExperimentReport()
+    partition_files: dict = {}
     for label, run_config in config.sweep_points():
         try:
             trace = run(run_config)
@@ -147,7 +166,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             report.points.append(PointResult(label=label, error=f"{type(exc).__name__}: {exc}"))
             continue
         if base is not None:
-            write_point_artifacts(config, trace, base / label, run_config)
+            write_point_artifacts(config, trace, base / label)
+            if config.emit_partition:
+                _write_partitions(run_config, base / label, partition_files)
         report.points.append(PointResult(label, trace.peak, first_crest(trace),
                                          trace.max_norm_drift))
         del trace  # the next point runs without this one's snapshots

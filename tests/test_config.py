@@ -13,6 +13,8 @@ from gridgrover import (
     ConfigError,
     GridGeometry,
     config,
+    emit_partition_csv,
+    experiments,
     make_partition,
     parse_config,
     run,
@@ -145,6 +147,28 @@ def test_grids_are_stored_only_for_the_emitters(tmp_path):
         noisy = dataclasses.replace(quiet, snapshot_stride=1, **{emit: True})
         ((_label, point),) = noisy.sweep_points()
         assert point.snapshot_stride == 1, emit
+
+
+def test_a_sweep_writes_each_partition_csv_once(tmp_path, monkeypatch):
+    # Square, cross and four-corners local maps share one shifted-square dispersion map:
+    # four distinct partitions among six files.  The rest are copies of the first file.
+    text = ("L = 20\nd = 2\nmarked = 3, 4\ndispersion = shifted-square\nmax_iters = 2\n"
+            "sweep_tessellation = square, cross, four-corners\nemit_trace = false\n"
+            "emit_partition = true\n")
+    swept = dataclasses.replace(parse_config(text), out_dir=str(tmp_path / "sweep"))
+    written = []
+    emit = experiments.emit_partition_csv
+    monkeypatch.setattr(experiments, "emit_partition_csv",
+                        lambda partition, path: written.append(path) or emit(partition, path))
+    assert run_experiment(swept).ok
+    assert len(written) == 4
+    points = list(swept.sweep_points())
+    assert len(points) == 3
+    for label, point in points:
+        for role in ("local", "dispersion"):
+            alone = emit_partition_csv(getattr(point, f"{role}_partition"), tmp_path / "alone.csv")
+            copied = tmp_path / "sweep" / label / f"partition_{role}.csv"
+            assert copied.read_bytes() == alone.read_bytes(), (label, role)
 
 
 def test_a_sweep_holds_one_point_at_a_time(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from gridgrover import (
     GridGeometry,
     MarkedSet,
     RunConfig,
+    TileGrid,
     bin_index,
     cross_partition,
     custom_partition,
@@ -147,6 +149,13 @@ def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
         "distinct": grid,
         # A non-square grid keeps its row and column numbering.
         "wide": grid[:3, :7],
+        # Other dtypes print as their float64 value: "%.17g" of float(v).
+        "float32": (rng.normal(size=(40, 50)) * 10.0 ** rng.integers(-13, 17, (40, 50))).astype(
+            np.float32),
+        "float16": rng.normal(size=(20, 30)).astype(np.float16),
+        "int64": np.concatenate([rng.integers(-2**62, 2**62, (10, 20)),
+                                 rng.integers(-120, 120, (10, 20))]),
+        "bool": rng.random((20, 30)) > 0.5,
         "tile_run": _run_snapshot(RunConfig(g, marked, max_iterations=12, snapshot_stride=12)),
         "cross_run": _run_snapshot(RunConfig(g, marked, local_partition=cross_partition(g),
                                              max_iterations=12, snapshot_stride=12)),
@@ -164,6 +173,88 @@ def test_snapshot_csv_bytes_match_reference_emitter(tmp_path):
         emit_snapshot_csv(values, tmp_path / f"{name}.csv")
         expected = (tmp_path / f"{name}_reference.csv").read_bytes()
         assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+
+
+def kernel_texts(values):
+    """The float kernel's text of each value, NULs dropped."""
+    text = outputs._float_text(np.asarray(values, dtype=np.float64))
+    return [bytes(row[row != 0]) for row in text]
+
+
+def percent_texts(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+# Doubles whose biased exponent puts them in and around the kernel's window (about 2^-37 to 2^50).
+window_floats = st.builds(
+    lambda sign, exponent, mantissa: np.uint64((sign << 63) | (exponent << 52) | mantissa),
+    st.integers(0, 1), st.integers(1023 - 40, 1023 + 52), st.integers(0, 2**52 - 1),
+)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1) | window_floats, min_size=1, max_size=40))
+def test_float_text_matches_percent_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert kernel_texts(values) == percent_texts(values)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_text_matches_percent_on_floats(values):
+    assert kernel_texts(values) == percent_texts(values)
+
+
+def half_way_ties():
+    """Dyadic values in the kernel's window whose exact decimal has 18 significant digits,
+    so that "%.17g" rounds a final 5 half to even: both ways occur."""
+    ties = []
+    for power in range(-36, 50):
+        for odd in range(1, 2**8, 2):
+            value = odd * 2.0**power
+            digits = Decimal(value).as_tuple().digits
+            if len(digits) == 18 and 1e-11 <= value < 1e15:
+                ties.append(value)
+    return ties
+
+
+def test_float_text_matches_percent_on_edge_cases():
+    ties = half_way_ties()
+    kept = [Decimal(t).as_tuple().digits[16] % 2 == 0 for t in ties]
+    assert len(ties) > 100 and 50 < sum(kept) < len(ties) - 50
+    tens = np.array([float(f"1e{k}") for k in range(-13, 18)])
+    edges = np.array([outputs._FLOAT_LOW, 1e-11, 1e15, 1e14, 1e-4, 1e-5])
+    cases = {
+        "ties": ties,
+        # Each power of ten and its neighbours one ulp away.
+        "tens": np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)]),
+        # Decimal exponents X >= -4 print in fixed notation, X < -4 in exponent notation.
+        "notation": [1e-4, 9.9999999999999991e-05, 0.00012345678901234567, 1e-5,
+                     9.999999999999999e-06, 1.2345e-5, 0.001, 0.5, 1.0],
+        # The window's edges, with the neighbours just outside them.
+        "edges": np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf)]),
+        # Trailing zeros and the point go, integer digits stay.
+        "trailing": [0.5, 0.25, 1.5, 100.0, 123.0, 12345.5, 123456789012345.0, 1e14 + 0.5,
+                     99999999999999.98, 3.0, 2.0**-20, 10.0, 7e-11],
+        "outside": [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                    1.7976931348623157e308, 1e300, 1e-300],
+    }
+    for name, values in cases.items():
+        values = np.asarray(values, dtype=np.float64)
+        values = np.concatenate([values, -values])
+        assert kernel_texts(values) == percent_texts(values), name
+        # One call per value gives the same text as one call for all.
+        assert [kernel_texts([v])[0] for v in values] == percent_texts(values), name
+
+
+def test_decimal_fields_match_percent_d():
+    # Row, column and group fields: right-aligned digits after NULs, four digits a group.
+    for width in range(1, 19):
+        values = sorted({0, 9, 10, 99, 100} | {10**k - 1 for k in range(1, width + 1)}
+                        | {10**k for k in range(width)} | {10**width - 1})
+        text = outputs._decimal(np.array(values), width)
+        assert text.shape == (len(values), -(-width // 4) * 4)
+        for value, row in zip(values, text):
+            digits = bytes(row).lstrip(b"\0")
+            assert digits == b"%d" % value, (width, value)
 
 
 def test_snapshot_csv_memory_stays_within_a_block(tmp_path):
@@ -227,6 +318,9 @@ def test_partition_csv_bytes_match_reference_emitter(tmp_path):
         "moved_cross": translate_partition(cross_partition(g), (3, 7)),
         "four_corners": four_corners_partition(g, 3),
         "custom": custom_partition(g, hand),
+        # Every cell a group: ids 0, 9, 10, 99, 100 up to the widest, 120.
+        "singletons": custom_partition(GridGeometry(11), [[(i, j)] for i in range(11)
+                                                         for j in range(11)]),
     }
     for name, partition in partitions.items():
         reference_partition_csv(partition, tmp_path / f"{name}_reference.csv")
@@ -367,3 +461,38 @@ def test_heatmap_refuses_nan_before_opening_the_file(tmp_path):
     # +inf next to -inf sums to NaN; with no NaN cell the raster is still written.
     grid[[399, 7, 200], [29, 0, 3]] = np.inf, -np.inf, 0.5
     assert emit_heatmap(grid, tmp_path / "x.ppm").read_bytes() == reference_heatmap(grid, 1)
+
+
+def test_heatmap_builds_each_block_of_a_stored_tile_grid_once(tmp_path, monkeypatch):
+    # Finite coefficients and deltas cannot sum to NaN, so a stored tile grid skips the NaN
+    # pass: each block of rows is built once, to bin it.
+    stored = run(RunConfig(GridGeometry(200), MarkedSet.of((3, 5)), max_iterations=2,
+                           snapshot_stride=2)).snapshots[2]
+    expected = {scale: reference_heatmap(np.asarray(stored), scale) for scale in (1, 2)}
+    built = []
+    build = TileGrid.__getitem__
+    monkeypatch.setattr(TileGrid, "__getitem__", lambda grid, rows: built.append(rows) or build(
+        grid, rows))
+    for scale, raster in expected.items():
+        built.clear()
+        path = emit_heatmap(stored, tmp_path / "h.ppm", scale)
+        block_rows = outputs._pixel_block(200, 200, scale)[0]
+        assert [rows.start for rows in built] == list(range(0, 200, block_rows)), scale
+        assert path.read_bytes() == raster, scale
+
+
+def test_heatmap_refuses_a_stored_tile_grid_with_a_nan_before_opening_the_file(tmp_path):
+    trace = run(RunConfig(GridGeometry(40), MarkedSet.of((3, 5)), max_iterations=2,
+                          snapshot_stride=1))
+    nan_coefficient, opposite_infinities = trace.snapshots[1], trace.snapshots[2]
+    nan_coefficient.coefficients[0][1, 2] = np.nan
+    # +inf in one lattice against -inf in the other: every cell sums to NaN.
+    (a, b), (sa, sb) = opposite_infinities.coefficients, opposite_infinities.signs
+    a[...], b[...] = sa * np.inf, -sb * np.inf
+    for stored in (nan_coefficient, opposite_infinities):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            nan_cells = np.count_nonzero(np.isnan(np.asarray(stored)))
+            assert nan_cells
+            with pytest.raises(ValueError, match=f"^{nan_cells} amplitude cells are NaN"):
+                emit_heatmap(stored, tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
